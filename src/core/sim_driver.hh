@@ -158,7 +158,8 @@ CoreParams clockedParams(double fe_boost, double be_boost);
 
 /**
  * Build the core @p config describes over @p stream (the factory
- * runSim uses; exposed for tests and the verification subsystem).
+ * runSim uses; exposed for the perf harness, the snapshot fuzzer,
+ * the perfbench cells and tests).
  */
 std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
                                    WorkloadStream &stream);
@@ -184,7 +185,8 @@ SampleSchedule deriveSampleSchedule(const SnapshotPolicy &policy,
                                     std::uint64_t measure_instrs);
 
 /**
- * Phase 1 of runSim, exposed for other drivers (the perf harness):
+ * Phase 1 of runSim, exposed for other drivers (the perf harness and
+ * the perfbench cells, which time each phase on its own):
  * bring @p core to its post-warmup state — simulating, or restoring
  * from / publishing to @p checkpoints per config.snapshot.
  * @return true if the warm state was restored from a checkpoint.
@@ -193,7 +195,8 @@ bool runSimWarmup(const RunConfig &config, CoreBase &core,
                   Checkpointer *checkpoints);
 
 /**
- * Phase 2 of runSim, exposed for other drivers: execute the
+ * Phase 2 of runSim, exposed for other drivers (the perf harness and
+ * the perfbench cells): execute the
  * measurement schedule config.snapshot implies — contiguous, or N
  * detailed windows with stream fast-forwards and fresh-core re-warms
  * between them — invoking @p window(core, instrs) for each measured
@@ -208,9 +211,10 @@ void forEachMeasureWindow(
     const std::function<void(CoreBase &, std::uint64_t)> &window);
 
 /**
- * Phase 3 of runSim, exposed for other drivers (the batch engine):
- * reduce the measurement-window deltas to a RunResult — derived
- * rates, the energy model, average power.
+ * Phase 3 of runSim, exposed for other drivers (the perfbench cells,
+ * which time the power reduction as its own layer): reduce the
+ * measurement-window deltas to a RunResult — derived rates, the
+ * energy model, average power.
  */
 RunResult reduceToResult(const RunConfig &config,
                          const EnergyEvents &events,

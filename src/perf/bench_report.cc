@@ -134,7 +134,6 @@ BenchReport::toJson() const
     config.add("jobs", jobs);
     config.add("sample_windows", sampleWindows);
     config.add("obs_attached", obsAttached);
-    config.add("batch_width", batchWidth);
     j.add("config", std::move(config));
 
     Json arr = Json::array();
@@ -142,7 +141,6 @@ BenchReport::toJson() const
         Json entry = Json::object();
         entry.add("bench", e.bench);
         entry.add("kind", e.kind);
-        entry.add("lanes", e.lanes);
         entry.add("instructions", e.instructions);
         Json reps = Json::array();
         for (double s : e.repSeconds)
@@ -179,6 +177,20 @@ fail(std::string *error, const std::string &what)
     return false;
 }
 
+/**
+ * True iff @p obj's @p key is absent or the number 1.  Reports written
+ * while a batched (multi-lane) timing mode existed carry
+ * config.batch_width and per-entry lanes; only their scalar (1) form
+ * measures what this build times, so anything else is refused rather
+ * than compared against a scalar run.
+ */
+bool
+scalarLaneCount(const Json &obj, const char *key)
+{
+    return !obj.has(key) ||
+           (obj[key].isNumber() && obj[key].asU64() == 1);
+}
+
 } // namespace
 
 bool
@@ -187,8 +199,8 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
 {
     if (!j.isObject())
         return fail(error, "bench report: not a JSON object");
-    // v1 documents (committed baselines predating batching) are still
-    // accepted: every v1.1 member is additive with a scalar default.
+    // v1 documents are still accepted: every v1.1 member is additive
+    // with a default.
     const std::string schema = j["schema"].asString();
     if (schema != kBenchSchema && schema != kBenchSchemaV1)
         return fail(error, "bench report: missing or unsupported "
@@ -233,12 +245,10 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
     // Absent in pre-observability reports: false.
     if (config.has("obs_attached"))
         r.obsAttached = config["obs_attached"].asBool();
-    // Absent in pre-batching (v1) reports: scalar.
-    if (config.has("batch_width")) {
-        if (!config["batch_width"].isNumber())
-            return fail(error, "bench report: malformed config member");
-        r.batchWidth = unsigned(config["batch_width"].asU64());
-    }
+    if (!scalarLaneCount(config, "batch_width"))
+        return fail(error, "bench report: config.batch_width other "
+                           "than 1 (a batched-engine report; only "
+                           "scalar reports are comparable)");
     // Telemetry is optional by design (older baselines lack it).
     if (j.has("telemetry")) {
         const Json &t = j["telemetry"];
@@ -270,12 +280,10 @@ BenchReport::fromJson(const Json &j, BenchReport *out,
         PerfEntry e;
         e.bench = entry["bench"].asString();
         e.kind = entry["kind"].asString();
-        // Absent in pre-batching (v1) reports: one lane.
-        if (entry.has("lanes")) {
-            if (!entry["lanes"].isNumber())
-                return fail(error, "bench report: malformed entry");
-            e.lanes = unsigned(entry["lanes"].asU64());
-        }
+        if (!scalarLaneCount(entry, "lanes"))
+            return fail(error, "bench report: entry lanes other than "
+                               "1 (a batched-engine report; only "
+                               "scalar reports are comparable)");
         e.instructions = entry["instructions"].asU64();
         for (const Json &s : entry["rep_seconds"].items()) {
             if (!s.isNumber())

@@ -76,7 +76,11 @@ fileBytes(const std::string &path)
     return static_cast<std::uint64_t>(st.st_size);
 }
 
-/** True iff @p name looks like a checkpoint store file. */
+/**
+ * True iff @p name looks like a checkpoint store file.  `.json` is
+ * the container older builds could write; matching it lets pruning
+ * and the size cap reclaim those stale files.
+ */
 bool
 isCheckpointFile(const std::string &name)
 {
@@ -110,9 +114,8 @@ Checkpointer::pathFor(const std::string &key) const
     if (dir_.empty())
         return "";
     char name[40];
-    std::snprintf(name, sizeof(name), "ckpt-%016llx.%s",
-                  static_cast<unsigned long long>(fnv1a64(key)),
-                  options_.jsonFormat ? "json" : "fws");
+    std::snprintf(name, sizeof(name), "ckpt-%016llx.fws",
+                  static_cast<unsigned long long>(fnv1a64(key)));
     return dir_ + "/" + name;
 }
 
@@ -263,10 +266,7 @@ Checkpointer::persist(const std::shared_ptr<const Snapshot> &snap,
     std::string error;
     const bool wrote =
         makeDirectories(dir_)
-            ? snap->writeFile(path, &error,
-                              options_.jsonFormat
-                                  ? Snapshot::Codec::Json
-                                  : Snapshot::Codec::Binary)
+            ? snap->writeFile(path, &error)
             : (error = "cannot create store directory " + dir_, false);
 
     if (!wrote) {

@@ -227,28 +227,23 @@ TEST(SnapshotFlags, ParsesTheSharedFlagSet)
     EXPECT_EQ(j, 0);
 }
 
-TEST(SnapshotFlags, ParsesStoreFormatAndCapFlags)
+TEST(SnapshotFlags, ParsesCapFlagAndAppliesStoreKnobs)
 {
-    const char *argv_c[] = {"prog", "--snapshot-json",
-                            "--checkpoint-cap-mb", "256"};
+    const char *argv_c[] = {"prog", "--checkpoint-cap-mb", "256"};
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
     flags.dir = "/tmp/store";
     flags.capBytes = 0;  // isolate from FLYWHEEL_CHECKPOINT_CAP_MB
     int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
-    EXPECT_TRUE(flags.jsonFormat);
-    ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
+    EXPECT_TRUE(flags.tryParse(argv[i], 3, argv, &i));
     EXPECT_EQ(flags.capBytes, 256ull << 20);
 
-    // apply() stamps all three store knobs onto any options struct
-    // with the shared field names.
+    // apply() stamps both store knobs onto any options struct with
+    // the shared field names.
     SweepOptions opts;
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/store");
-    EXPECT_TRUE(opts.checkpointJson);
     EXPECT_EQ(opts.checkpointCapBytes, 256ull << 20);
 }
 

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace flywheel;
@@ -258,9 +260,9 @@ TEST(ComparePerf, RelativeModeSurvivesDegenerateGeomean)
 
 TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
 {
-    // Committed baselines written before the batching fields existed
+    // Committed baselines written before the v1.1 members existed
     // carry the v1 tag and none of the additive members; they must
-    // keep parsing with scalar defaults.
+    // keep parsing.
     BenchReport original = sampleReport();
     std::string bytes = original.toJson().dump(2);
     const std::string tag = "\"flywheel.bench_perf.v1.1\"";
@@ -274,9 +276,57 @@ TEST(BenchReportJson, AcceptsLegacyV1SchemaTag)
     BenchReport restored;
     ASSERT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
         << error;
-    EXPECT_EQ(restored.batchWidth, 1u);
-    for (const PerfEntry &e : restored.entries)
-        EXPECT_EQ(e.lanes, 1u);
+    EXPECT_EQ(restored.entries.size(), original.entries.size());
+
+    // The committed baseline carries batch_width / lanes = 1 from the
+    // writers that emitted them: scalar, so it parses unchanged.
+    std::string text;
+    {
+        std::ifstream in(std::string(FLYWHEEL_REPO_DIR) +
+                         "/bench/baseline_perf.json");
+        ASSERT_TRUE(in.good());
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        text = ss.str();
+    }
+    ASSERT_NE(text.find("\"batch_width\": 1"), std::string::npos);
+    ASSERT_TRUE(Json::parse(text, parsed, &error)) << error;
+    ASSERT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
+        << error;
+    EXPECT_FALSE(restored.entries.empty());
+
+    // A batched report (batch_width or any entry's lanes other than
+    // 1) measured a different thing: a clean refusal, not a silent
+    // comparison against scalar runs.
+    const std::string scalar = original.toJson().dump(2);
+    const auto with = [&](const std::string &anchor,
+                          const std::string &extra) {
+        std::string doc = scalar;
+        const std::size_t at = doc.find(anchor);
+        EXPECT_NE(at, std::string::npos) << anchor;
+        doc.insert(at + anchor.size(), extra);
+        return doc;
+    };
+    const std::string cfg = "\"obs_attached\": false";
+    const std::string kind = "\"kind\": \"flywheel\"";
+    for (const std::string &doc :
+         {with(cfg, ", \"batch_width\": 8"),
+          with(kind, ", \"lanes\": 8"),
+          with(kind, ", \"lanes\": \"1\"")}) {
+        ASSERT_TRUE(Json::parse(doc, parsed, &error)) << error;
+        error.clear();
+        EXPECT_FALSE(BenchReport::fromJson(parsed, &restored, &error))
+            << doc;
+        EXPECT_NE(error.find("bench report"), std::string::npos)
+            << error;
+    }
+    for (const std::string &doc :
+         {with(cfg, ", \"batch_width\": 1"),
+          with(kind, ", \"lanes\": 1")}) {
+        ASSERT_TRUE(Json::parse(doc, parsed, &error)) << error;
+        EXPECT_TRUE(BenchReport::fromJson(parsed, &restored, &error))
+            << error;
+    }
 }
 
 TEST(BenchReportJson, AggregateSumsInstructionsOverTime)

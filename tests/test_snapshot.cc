@@ -225,6 +225,21 @@ TEST(SnapshotFile, BinaryRejectsTruncationCorruptionAndVersionMismatch)
         EXPECT_NE(error.find("trailing"), std::string::npos) << error;
     }
 
+    // A JSON-container document, as older builds could write, is not
+    // a snapshot this build reads: a clean bad-magic error.
+    {
+        Snapshot out;
+        std::string error;
+        const std::string json =
+            "{\"magic\": \"flywheel-snapshot\", \"version\": " +
+            std::to_string(Snapshot::kFormatVersion) +
+            ", \"key\": \"k\", \"hash\": \"0\", \"sections\": []}\n";
+        EXPECT_FALSE(Snapshot::deserialize(json, &out, &error));
+        EXPECT_NE(error.find("magic"), std::string::npos) << error;
+        EXPECT_FALSE(Snapshot::deserialize("{", &out, &error));
+        EXPECT_NE(error.find("magic"), std::string::npos) << error;
+    }
+
     // readFile: missing file reports the path.
     Snapshot out;
     std::string error;
@@ -233,92 +248,31 @@ TEST(SnapshotFile, BinaryRejectsTruncationCorruptionAndVersionMismatch)
     EXPECT_NE(error.find("cannot read"), std::string::npos) << error;
 }
 
-TEST(SnapshotFile, JsonEscapeHatchRejectsTheSameClasses)
+TEST(SnapshotCodec, BinaryRoundTripPreservesKeyHashAndSections)
 {
-    const Snapshot snap = snapshotOf(CoreKind::Flywheel);
-    const std::string text = snap.serialize(Snapshot::Codec::Json);
-
-    Snapshot out;
-    std::string error;
-    EXPECT_TRUE(Snapshot::deserialize(text, &out, &error)) << error;
-
-    // Truncation: not parseable JSON.
-    EXPECT_FALSE(Snapshot::deserialize(text.substr(0, text.size() / 2),
-                                       &out, &error));
-    EXPECT_NE(error.find("unreadable"), std::string::npos) << error;
-
-    // Corruption: flip one decimal digit inside a section's byte
-    // string; the document stays valid JSON but the content hash no
-    // longer matches.
-    std::string corrupt = text;
-    const std::size_t pos = corrupt.find("\"data\": \"");
-    ASSERT_NE(pos, std::string::npos);
-    const std::size_t digit =
-        corrupt.find_first_of("0123456789", pos + 9);
-    ASSERT_NE(digit, std::string::npos);
-    corrupt[digit] = corrupt[digit] == '9' ? '3' : '9';
-    EXPECT_FALSE(Snapshot::deserialize(corrupt, &out, &error));
-    EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
-
-    // Version mismatch: clear error naming both versions.
-    std::string versioned = text;
-    const std::string vtag =
-        "\"version\": " + std::to_string(Snapshot::kFormatVersion);
-    const std::size_t vpos = versioned.find(vtag);
-    ASSERT_NE(vpos, std::string::npos);
-    versioned.replace(vpos, vtag.size(), "\"version\": 99");
-    EXPECT_FALSE(Snapshot::deserialize(versioned, &out, &error));
-    EXPECT_NE(error.find("version 99"), std::string::npos) << error;
-
-    // Wrong magic: not a snapshot at all.
-    std::string magic = text;
-    const std::size_t mpos = magic.find("flywheel-snapshot");
-    ASSERT_NE(mpos, std::string::npos);
-    magic.replace(mpos, 8, "deadbeef");
-    EXPECT_FALSE(Snapshot::deserialize(magic, &out, &error));
-    EXPECT_NE(error.find("magic"), std::string::npos) << error;
-}
-
-TEST(SnapshotCodec, BinaryAndJsonDecodeEqualWithIdenticalHash)
-{
-    // Differential check across the two containers, for every
-    // snapshot kind: the same state serialized through either codec
-    // must decode to equal snapshots carrying the identical content
-    // hash (the hash covers the raw section bytes, not the encoding).
+    // For every snapshot kind: decoding the binary container gives
+    // back the key, content hash and section table, and re-encoding
+    // the decoded snapshot reproduces the original bytes exactly.
     for (CoreKind kind : {CoreKind::Baseline,
                           CoreKind::RegisterAllocation,
                           CoreKind::Flywheel}) {
         SCOPED_TRACE(coreKindName(kind));
         const Snapshot snap = snapshotOf(kind);
+        const std::string bytes = snap.serialize();
 
-        const std::string bin = snap.serialize(Snapshot::Codec::Binary);
-        const std::string json = snap.serialize(Snapshot::Codec::Json);
-        ASSERT_NE(bin, json);
-
-        Snapshot from_bin, from_json;
+        Snapshot back;
         std::string error;
-        ASSERT_TRUE(Snapshot::deserialize(bin, &from_bin, &error))
-            << error;
-        ASSERT_TRUE(Snapshot::deserialize(json, &from_json, &error))
+        ASSERT_TRUE(Snapshot::deserialize(bytes, &back, &error))
             << error;
 
-        EXPECT_EQ(from_bin.key(), snap.key());
-        EXPECT_EQ(from_json.key(), snap.key());
-        EXPECT_EQ(from_bin.contentHash(), snap.contentHash());
-        EXPECT_EQ(from_json.contentHash(), snap.contentHash());
-        EXPECT_EQ(from_bin.sectionCount(), from_json.sectionCount());
-        for (std::size_t i = 0; i < from_bin.sectionCount(); ++i)
-            EXPECT_EQ(from_bin.sectionName(i), from_json.sectionName(i));
+        EXPECT_EQ(back.key(), snap.key());
+        EXPECT_EQ(back.contentHash(), snap.contentHash());
+        EXPECT_EQ(back.payloadBytes(), snap.payloadBytes());
+        ASSERT_EQ(back.sectionCount(), snap.sectionCount());
+        for (std::size_t i = 0; i < snap.sectionCount(); ++i)
+            EXPECT_EQ(back.sectionName(i), snap.sectionName(i));
 
-        // Decode-equal, byte for byte: re-serializing both decoded
-        // snapshots through one codec must produce identical bytes.
-        EXPECT_EQ(from_bin.serialize(Snapshot::Codec::Binary),
-                  from_json.serialize(Snapshot::Codec::Binary));
-
-        // And the binary container must actually be the compact one.
-        EXPECT_LT(bin.size(), json.size() / 5)
-            << "binary " << bin.size() << " B vs JSON " << json.size()
-            << " B";
+        EXPECT_EQ(back.serialize(), bytes);
     }
 }
 
@@ -436,14 +390,27 @@ TEST(CheckpointerTest, SizeCapPrunesOldestCheckpointsFirst)
         ASSERT_EQ(::utime(paths.back().c_str(), &times), 0);
     }
 
-    // Cap at the two newest files' worth: exactly the oldest goes.
+    // A stale JSON-container checkpoint left by an older build, older
+    // than all of them: still a store file, so the cap reclaims it.
+    const std::string stale = dir + "/ckpt-0123456789abcdef.json";
+    const std::string stale_text = "{\"magic\": \"flywheel-snapshot\"}\n";
+    { std::ofstream(stale) << stale_text; }
+    {
+        struct ::utimbuf times;
+        times.actime = times.modtime = 999999;
+        ASSERT_EQ(::utime(stale.c_str(), &times), 0);
+    }
+
+    // Cap at the two newest files' worth: exactly the stale file and
+    // the oldest binary checkpoint go.
     const std::uint64_t cap = sizes[1] + sizes[2];
     std::uint64_t bytes_removed = 0;
     const std::size_t removed =
         Checkpointer::pruneStore(dir, cap, &bytes_removed);
-    EXPECT_EQ(removed, 1u);
-    EXPECT_EQ(bytes_removed, sizes[0]);
+    EXPECT_EQ(removed, 2u);
+    EXPECT_EQ(bytes_removed, sizes[0] + stale_text.size());
     struct ::stat st;
+    EXPECT_NE(::stat(stale.c_str(), &st), 0);     // stale JSON pruned
     EXPECT_NE(::stat(paths[0].c_str(), &st), 0);  // oldest pruned
     EXPECT_EQ(::stat(paths[1].c_str(), &st), 0);
     EXPECT_EQ(::stat(paths[2].c_str(), &st), 0);

@@ -57,9 +57,6 @@ usage(const char *argv0)
         "run control:\n"
         "  --jobs N             worker threads (default: FLYWHEEL_JOBS "
         "or all cores)\n"
-        "  --batch W            lanes per batched task (default: "
-        "FLYWHEEL_BATCH or 1);\n"
-        "                       results byte-identical to scalar\n"
         "  --cache FILE         persistent result cache (default: "
         "FLYWHEEL_CACHE)\n"
         "  --progress           per-point progress on stderr\n"
@@ -221,8 +218,6 @@ main(int argc, char **argv)
             validate_paths.push_back(value());
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
-        } else if (flag == "--batch") {
-            opts.batchWidth = cli::parseBatch(value(), "--batch");
         } else if (flag == "--cache") {
             opts.cachePath = value();
         } else if (flag == "--progress") {
