@@ -93,36 +93,48 @@ BENCHMARK(BM_ExecCacheLookup);
 void
 BM_IssueWindowSelectCycle(benchmark::State &state)
 {
-    // Steady-state Wake-Up/Select traffic: every iteration selects
-    // the oldest visible entries (one issue group), removes them, and
-    // dispatches replacements — the exact per-cycle pattern of
-    // CoreBase::stepIssue.
+    // Steady-state Wake-Up/Select traffic in the pattern of
+    // CoreBase::stepIssue: each iteration is one back-end cycle that
+    // promotes the timed queue, selects up to six ready entries
+    // oldest first, writes their destinations (waking two
+    // interleaved dependence chains) and dispatches four more.
+    constexpr unsigned kRegs = 256;
     Arena arena;
-    IssueWindow iw(arena, 128);
+    IssueWindow iw(arena, 128, kRegs);
+    std::vector<Tick> ready(kRegs, 0);
     std::deque<InFlightInst> live;   // stable addresses
     InstSeqNum seq = 1;
-    auto fill = [&] {
-        while (!iw.full()) {
-            live.emplace_back();
-            live.back().arch.seq = seq++;
-            live.back().iwVisible = 0;
-            iw.insert(&live.back());
+    Tick now = 0;
+    auto dispatch = [&](unsigned n) {
+        for (unsigned i = 0; i < n && !iw.full(); ++i, ++seq) {
+            InFlightInst &p = live.emplace_back();
+            p.arch.seq = seq;
+            p.iwVisible = now + 1;
+            p.destPhys = static_cast<PhysReg>(seq % kRegs);
+            p.src1Phys = static_cast<PhysReg>((seq - 2) % kRegs);
+            p.src2Phys = static_cast<PhysReg>((seq - 5) % kRegs);
+            ready[p.destPhys] = kTickMax;
+            iw.insert(&p, ready.data());
         }
     };
-    fill();
-    std::vector<InFlightInst *> selected;
+    dispatch(128);
     for (auto _ : state) {
-        iw.visibleOldestFirst(1, selected);
-        unsigned n = 0;
-        for (InFlightInst *p : selected) {
-            if (n++ == 6)
-                break;
+        ++now;
+        iw.promote(now);
+        unsigned issued = 0;
+        for (std::size_t slot = iw.nextReady(0);
+             slot != IssueWindow::kNoSlot && issued < 6;
+             slot = iw.nextReady(slot + 1)) {
+            InFlightInst *p = iw.at(slot);
             iw.remove(p);
+            ready[p->destPhys] = now + 1;
+            iw.wake(p->destPhys, ready.data());
+            ++issued;
         }
         while (!live.empty() && !live.front().inIw)
             live.pop_front();
-        fill();
-        benchmark::DoNotOptimize(selected.size());
+        dispatch(4);
+        benchmark::DoNotOptimize(issued);
     }
 }
 BENCHMARK(BM_IssueWindowSelectCycle);

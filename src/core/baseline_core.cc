@@ -37,7 +37,7 @@ BaselineCore::renameDest(InFlightInst &inst)
     auto [fresh, old] = renameMap_.allocate(inst.arch.dest);
     inst.destPhys = fresh;
     inst.oldDestPhys = old;
-    regReady_[fresh] = kTickMax;  // not ready until written
+    setRegReady(fresh, kTickMax);  // not ready until written
 }
 
 void

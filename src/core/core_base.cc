@@ -101,7 +101,7 @@ CoreBase::CoreBase(const CoreParams &params, WorkloadStream &stream,
       btb_(arena_, params.btb),
       fus_(arena_, params.fus, params.lat),
       lsq_(arena_, params.lsqEntries),
-      iw_(arena_, params.iwEntries),
+      iw_(arena_, params.iwEntries, phys_regs),
       rob_(arena_, params.robEntries),
       feQueue_(arena_,
                static_cast<std::size_t>(params.feStages - 1 +
@@ -298,7 +298,7 @@ CoreBase::stepDispatch(Tick now, Tick visible_delay)
         feQueue_.pop_front();
         InFlightInst *p = &rob_.back();
         p->iwVisible = now + visible_delay;
-        iw_.insert(p);
+        iw_.insert(p, regReady_.data());
         if (p->isMem()) {
             p->arch.isStore()
                 ? lsq_.insert(p->arch.seq, true, p->arch.effAddr)
@@ -368,10 +368,12 @@ CoreBase::issueOne(InFlightInst *p, Tick now, Tick be_period)
     if (p->arch.hasDest()) {
         // Bypass: dependents may issue exec_cycles (+ any extra
         // wake-up delay) after the producer's select.
-        regReady_[p->destPhys] = now +
-            static_cast<Tick>(exec_cycles + params_.wakeupExtraDelay) *
-                be_period +
-            mem_extra;
+        setRegReady(p->destPhys,
+                    now +
+                        static_cast<Tick>(exec_cycles +
+                                          params_.wakeupExtraDelay) *
+                            be_period +
+                        mem_extra);
         ++events_.resultBusOps;
         ++events_.rfWrites;
         if (!p->fromEc)
@@ -408,17 +410,28 @@ void
 CoreBase::stepIssue(Tick now, Tick be_period)
 {
     fus_.beginCycle(now);
-    iw_.visibleOldestFirst(now, eligible_);
+    iw_.promote(now);
     issuedGroup_.clear();
 
-    for (InFlightInst *p : eligible_) {
-        if (issuedGroup_.size() >= params_.issueWidth)
-            break;
-        if (!operandsReady(*p, now))
-            continue;
+    // The ready set holds exactly the entries visible with both
+    // operands ready at now, oldest first.  Entries the LSQ or the
+    // FUs refuse stay in it for the next cycle; consumers woken by
+    // this cycle's selections join it behind the walk.  Once the LSQ
+    // gate refuses a load, it refuses every younger load for the rest
+    // of the walk (the unresolved store holding it shut is older than
+    // the load, so it cannot issue behind it), and the walk passes
+    // over loads from there on.
+    bool loads_gated = false;
+    for (std::size_t slot = iw_.nextReady(0);
+         slot != IssueWindow::kNoSlot &&
+         issuedGroup_.size() < params_.issueWidth;
+         slot = iw_.nextReady(slot + 1, loads_gated)) {
+        InFlightInst *p = iw_.at(slot);
         FW_LAYOUT_TOUCH(InFlightInst, arch.op);
-        if (p->isLoad() && !lsq_.loadMayIssue(p->arch.seq))
+        if (p->isLoad() && !lsq_.loadMayIssue(p->arch.seq)) {
+            loads_gated = true;
             continue;
+        }
         if (!fus_.tryIssue(p->arch.op, now, double(be_period)))
             continue;
         iw_.remove(p);
@@ -653,6 +666,7 @@ CoreBase::restore(const Snapshot &snap)
     r.podArray(regReady_.data(), regReady_.size());
 
     iw_.restore(r, [this](std::uint64_t idx) { return robAt(idx); });
+    iw_.reschedule(regReady_.data());
 
     issuedPending_.clear();
     const std::uint64_t pending = r.u64();

@@ -216,8 +216,19 @@ class CoreBase
     void stepRetire(Tick now, Tick be_period);
 
     // ---- helpers ---------------------------------------------------------
-    /** Operand readiness against the physical scoreboard. */
+    /** Operand readiness against the physical scoreboard (EC replay). */
     bool operandsReady(const InFlightInst &inst, Tick now) const;
+    /**
+     * The one writer of the readiness scoreboard.  A known tick wakes
+     * the issue-window entries waiting on @p r; kTickMax marks a
+     * freshly renamed destination as unwritten.
+     */
+    void setRegReady(PhysReg r, Tick t)
+    {
+        regReady_[r] = t;
+        if (t != kTickMax)
+            iw_.wake(r, regReady_.data());
+    }
     /** Issue bookkeeping shared by window issue and EC replay. */
     void issueOne(InFlightInst *inst, Tick now, Tick be_period);
     /**
@@ -271,9 +282,6 @@ class CoreBase
     ArenaRing<InFlightInst> feQueue_;
     std::size_t feQueueCap_;  // lint: nosnapshot(derived from params in ctor)
 
-    /** Physical register readiness scoreboard (ticks). */
-    ArenaVector<Tick> regReady_;
-
     EnergyEvents events_;
     CoreStats stats_;
 
@@ -290,8 +298,10 @@ class CoreBase
     RetireHook retireHook_;  // lint: nosnapshot(callback, re-attached by the driver)
 
   private:
-    // lint: nosnapshot(per-cycle scratch, cleared before use)
-    std::vector<InFlightInst *> eligible_;   // scratch for stepIssue
+    /** Physical register readiness scoreboard (ticks); written only
+     *  through setRegReady so no wake-up is lost. */
+    ArenaVector<Tick> regReady_;
+
     std::vector<InFlightInst *> issuedGroup_;  // lint: nosnapshot(per-cycle scratch)
     Tick memTicks_;  // lint: nosnapshot(derived from params in ctor)
     // lint: nosnapshot(derived from params in ctor)

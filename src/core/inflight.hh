@@ -21,8 +21,8 @@ namespace flywheel {
  * In-flight instruction state.
  *
  * Field order is profile-guided (flywheel.layout.v1; see
- * obs/layout_profile.hh): the wake-up scan, operand-readiness check
- * and completion gate touch src1Phys/src2Phys, issued and
+ * obs/layout_profile.hh): wake-up, the operand-readiness check and
+ * the completion gate touch iwVisible, src1Phys/src2Phys and
  * completeTick millions of times per simulated second, so the
  * scheduling state leads the struct (one cache line), the
  * architectural payload follows, and the rarely-read rollback/branch
@@ -50,6 +50,10 @@ struct InFlightInst
     // Warm but not per-cycle: dispatch and issue bookkeeping.
     Tick dispatchReady = 0;   ///< earliest dispatch (front-end depth)
     Tick issueTick = kTickMax;
+    /** Next consumer on src1Phys's / src2Phys's issue-window wait
+     *  list (derived state: the window rebuilds it on restore). */
+    InFlightInst *wakeNext1 = nullptr;
+    InFlightInst *wakeNext2 = nullptr;
 
     // Cold tail: rollback and branch/trace bookkeeping.
     PhysReg oldDestPhys = kNoPhysReg;  ///< freed at retire (baseline)

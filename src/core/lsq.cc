@@ -1,5 +1,6 @@
 #include "core/lsq.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -34,6 +35,13 @@ Lsq::noteUnknownGone(const Entry &e)
     --unknownStores_;
     if (unknownStores_ > 0 && e.seq == minUnknownSeq_)
         refreshMinUnknown();
+}
+
+void
+Lsq::noteKnownGone(const Entry &e)
+{
+    --knownStores_;
+    --knownWords_[wordBucket(e.word)];
 }
 
 void
@@ -77,9 +85,9 @@ Lsq::loadMayIssue(InstSeqNum load_seq,
 bool
 Lsq::loadForwards(InstSeqNum load_seq, Addr addr) const
 {
-    if (knownStores_ == 0)
-        return false;
     const Addr word = addr >> 3;
+    if (knownStores_ == 0 || knownWords_[wordBucket(word)] == 0)
+        return false;
     for (std::size_t i = 0; i < count_; ++i) {
         const Entry &e = buf_[at(i)];
         FW_LAYOUT_TOUCH(LsqEntry, seq);
@@ -104,6 +112,7 @@ Lsq::storeIssued(InstSeqNum seq)
         if (e.seq == seq) {
             e.addrKnown = true;
             ++knownStores_;
+            ++knownWords_[wordBucket(e.word)];
             noteUnknownGone(e);
             return;
         }
@@ -126,7 +135,7 @@ Lsq::retire(InstSeqNum seq)
         head_ = 0;
     if (e.isStore) {
         if (e.addrKnown)
-            --knownStores_;
+            noteKnownGone(e);
         else
             noteUnknownGone(e);
     }
@@ -142,7 +151,7 @@ Lsq::squashFrom(InstSeqNum seq)
         --count_;
         if (e.isStore) {
             if (e.addrKnown)
-                --knownStores_;
+                noteKnownGone(e);
             else
                 noteUnknownGone(e);
         }
@@ -177,11 +186,14 @@ Lsq::restore(BinReader &r)
               "LSQ snapshot does not fit the configured capacity");
     head_ = 0;
     count_ = count;
+    std::fill(knownWords_.begin(), knownWords_.end(), 0);
     for (std::size_t i = 0; i < count_; ++i) {
         buf_[i].seq = r.u64();
         buf_[i].word = r.u64();
         buf_[i].isStore = r.b();
         buf_[i].addrKnown = r.b();
+        if (buf_[i].isStore && buf_[i].addrKnown)
+            ++knownWords_[wordBucket(buf_[i].word)];
     }
     unknownStores_ = r.u32();
     knownStores_ = r.u32();

@@ -10,7 +10,8 @@
  * traffic), and the common disambiguation query — "is any older
  * store's address still unknown?" — is answered from the tracked
  * sequence number of the oldest address-unknown store instead of a
- * queue walk.
+ * queue walk.  Likewise, the forwarding check skips its walk when no
+ * issued store's word falls in the load's word bucket.
  */
 
 #ifndef FLYWHEEL_CORE_LSQ_HH
@@ -33,9 +34,10 @@ class Lsq
 {
   public:
     explicit Lsq(Arena &arena, unsigned entries)
-        : capacity_(entries), buf_(arena)
+        : capacity_(entries), buf_(arena), knownWords_(arena)
     {
         buf_.resize(entries);
+        knownWords_.assign(kWordBuckets, 0);
     }
 
     bool full() const { return count_ >= capacity_; }
@@ -111,8 +113,18 @@ class Lsq
 
     /** Entry lost an unknown address (issued / squashed / retired). */
     void noteUnknownGone(const Entry &e);
+    /** A known store left the queue (retired / squashed). */
+    void noteKnownGone(const Entry &e);
     /** Recompute minUnknownSeq_ with a queue walk. */
     void refreshMinUnknown();
+
+    /** Bucket of knownWords_ that counts stores to @p word. */
+    static constexpr std::size_t kWordBuckets = 64;
+    static std::size_t
+    wordBucket(Addr word)
+    {
+        return static_cast<std::size_t>(word) & (kWordBuckets - 1);
+    }
 
     std::size_t capacity_;  // lint: nosnapshot(geometry checked by restore, not mutated)
     static_assert(std::is_trivially_copyable_v<Entry>,
@@ -125,6 +137,13 @@ class Lsq
     unsigned unknownStores_ = 0;       ///< stores with addrKnown=false
     unsigned knownStores_ = 0;         ///< stores with addrKnown=true
     InstSeqNum minUnknownSeq_ = 0;     ///< oldest unknown store's seq
+    /**
+     * Known stores per word bucket.  Most loads match no known
+     * store's word at all; an empty bucket answers loadForwards
+     * without walking the queue.
+     */
+    // lint: nosnapshot(derived from the entries; restore recounts it)
+    ArenaVector<std::uint16_t> knownWords_;
 };
 
 } // namespace flywheel

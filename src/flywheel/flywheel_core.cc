@@ -272,7 +272,7 @@ FlywheelCore::renameDest(InFlightInst &inst)
     if (!inst.arch.hasDest())
         return;
     inst.destPhys = pools_.allocate(inst.arch.dest, inst.poolPrevSlot);
-    regReady_[inst.destPhys] = kTickMax;
+    setRegReady(inst.destPhys, kTickMax);
 }
 
 void
@@ -787,7 +787,7 @@ FlywheelCore::resolveDivergence(InFlightInst &branch, Tick now)
             // The slot reverts to holding its previous (committed)
             // value; without this a never-written slot would poison
             // any future reader with an eternal not-ready.
-            regReady_[b.destPhys] = 0;
+            setRegReady(b.destPhys, 0);
         }
         rob_.pop_back();
         ++squashed_n;
@@ -933,8 +933,8 @@ FlywheelCore::maybeRedistribute(Tick now)
     if (pools_.redistribute()) {
         // Pool bases moved: every physical entry now holds a
         // committed (ready) value — nothing is in flight.
-        for (auto &r : regReady_)
-            r = 0;
+        for (unsigned r = 0; r < params_.poolPhysRegs; ++r)
+            setRegReady(static_cast<PhysReg>(r), 0);
         // All recorded renaming information is stale (Section 3.5).
         ec_.invalidateAll();
         builder_ = Builder{};

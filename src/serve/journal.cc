@@ -16,10 +16,10 @@ namespace flywheel::serve {
 std::size_t
 JournalState::uniqueCompleted() const
 {
-    std::set<std::size_t> cells;
+    std::set<std::size_t> done;
     for (const JournalEntry &e : entries)
-        cells.insert(e.cell);
-    return cells.size();
+        done.insert(e.cell);
+    return done.size();
 }
 
 std::string
