@@ -5,7 +5,6 @@
 
 #include "common/log.hh"
 #include "core/report.hh"
-#include "serve/client.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/result_cache.hh"
 
@@ -112,37 +111,6 @@ RunResult
 Session::runOne(const RunConfig &config, bool *from_cache)
 {
     return runner_.runOne(config, from_cache);
-}
-
-bool
-Session::submit(const std::string &serverAddress,
-                const ExperimentSpec &spec, SubmitOutcome *out,
-                std::string *error, double pollSeconds)
-{
-    serve::ServeAddress address;
-    if (!serve::parseServeAddress(serverAddress, &address, error))
-        return false;
-    serve::ServeClient client;
-    if (!client.connect(address, error))
-        return false;
-
-    serve::ServeClient::Submitted submitted;
-    if (!client.submit(spec, &submitted, error))
-        return false;
-    if (!client.waitForCompletion(submitted.jobId, pollSeconds,
-                                  nullptr, error))
-        return false;
-
-    SubmitOutcome outcome;
-    outcome.jobId = submitted.jobId;
-    outcome.cells = static_cast<std::size_t>(submitted.cells);
-    outcome.resumed = submitted.resumed;
-    if (!client.results(submitted.jobId, &outcome.tableJson,
-                        &outcome.tableCsv, error))
-        return false;
-    if (out)
-        *out = std::move(outcome);
-    return true;
 }
 
 VerifyReport

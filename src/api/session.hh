@@ -57,18 +57,6 @@ struct SessionOptions
     static SessionOptions fromEnv();
 };
 
-/** Outcome of Session::submit() — one remotely executed spec. */
-struct SubmitOutcome
-{
-    std::string jobId;       ///< server-assigned (spec-hash) id
-    std::size_t cells = 0;   ///< grid size after expansion
-    bool resumed = false;    ///< journal replay shortened the run
-    /** Finished table in the two sweep export formats (byte-identical
-     *  to a local run of the same resolved spec). */
-    std::string tableJson;
-    std::string tableCsv;
-};
-
 /** Outcome of Session::verify() over one spec. */
 struct VerifyReport
 {
@@ -103,18 +91,6 @@ class Session
 
     /** Run one ad-hoc config through the session cache. */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
-
-    /**
-     * Client mode: submit @p spec to a `flywheel_serve` daemon at
-     * @p serverAddress ("HOST:PORT" or a Unix socket path), block
-     * until the sweep finishes, and return its exported table.
-     * Submission is idempotent — resubmitting a spec the server has
-     * journaled resumes it.  False + *error on connection, protocol
-     * or job failure; the local runner is untouched either way.
-     */
-    bool submit(const std::string &serverAddress,
-                const ExperimentSpec &spec, SubmitOutcome *out,
-                std::string *error, double pollSeconds = 0.2);
 
     /**
      * Differential verification of @p spec: every distinct

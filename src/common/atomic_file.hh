@@ -29,9 +29,8 @@ bool atomicWriteFile(const std::string &path, const std::string &bytes,
 
 /**
  * mkdir -p: create @p dir and every missing parent; true if @p dir
- * exists as a directory afterwards.  Shared by every on-disk store
- * (checkpoints, serve results, job journals) so a nested store path
- * never makes persists fail silently.
+ * exists as a directory afterwards.  The checkpoint store calls it
+ * so a nested store path never makes persists fail silently.
  */
 bool makeDirectories(const std::string &dir);
 

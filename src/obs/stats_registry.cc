@@ -147,18 +147,6 @@ StatsRegistry::group(const std::string &name)
     return *groups_.back();
 }
 
-bool
-StatsRegistry::dropGroup(const std::string &name)
-{
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-        if ((*it)->name() == name) {
-            groups_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 Json
 StatsRegistry::dumpGroups() const
 {

@@ -111,14 +111,6 @@ class StatsRegistry
     }
 
     /**
-     * Remove the group named @p name (and every StatsGroup reference
-     * to it — callers must not keep one across a drop).  False when
-     * no such group exists.  For dynamic group populations, e.g. the
-     * serve daemon's per-worker shards.
-     */
-    bool dropGroup(const std::string &name);
-
-    /**
      * Serialize every group as the groups array of a
      * flywheel.stats.v1 document: [{"name": .., "stats": [..]}, ..].
      */

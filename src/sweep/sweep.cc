@@ -212,18 +212,18 @@ SweepRunner::~SweepRunner()
 }
 
 RunResult
-CellExecutor::run(const RunConfig &config, bool *from_cache)
+SweepRunner::runOne(const RunConfig &config, bool *from_cache)
 {
     RunConfig cfg = config;
-    if (!cfg.obs.active() && obs_.active())
-        cfg.obs = obs_;
+    if (!cfg.obs.active() && options_.obs.active())
+        cfg.obs = options_.obs;
     const std::string key = configKey(cfg);
     RunResult result;
     // An observed run must actually execute: a cache hit would skip
     // the simulation its stats/trace documents are meant to describe.
     // Storing the result back is still sound — the cached payload
     // excludes everything ObsConfig adds.
-    if (!cfg.obs.active() && cache_ && cache_->lookup(key, &result)) {
+    if (!cfg.obs.active() && cache_.lookup(key, &result)) {
         if (from_cache)
             *from_cache = true;
         return result;
@@ -234,19 +234,11 @@ CellExecutor::run(const RunConfig &config, bool *from_cache)
     if (checkpointer_ &&
         cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
         cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-    result = runSim(cfg, checkpointer_);
-    if (cache_)
-        cache_->store(key, result);
+    result = runSim(cfg, checkpointer_.get());
+    cache_.store(key, result);
     if (from_cache)
         *from_cache = false;
     return result;
-}
-
-RunResult
-SweepRunner::runOne(const RunConfig &config, bool *from_cache)
-{
-    return CellExecutor(&cache_, checkpointer_.get(), options_.obs)
-        .run(config, from_cache);
 }
 
 SweepTable

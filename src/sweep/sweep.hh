@@ -171,34 +171,6 @@ class SweepTable
     SweepTelemetry telemetry_;
 };
 
-/**
- * One-cell execution policy — the single place that knows how a grid
- * cell runs: observability stamping, result-cache lookup (skipped for
- * observed runs), the checkpointer's default Reuse policy, runSim(),
- * and the store-back.  SweepRunner routes every thread-pool task
- * through this, and the distributed serve workers (src/serve/) run
- * the identical path with a null cache — which is what makes a
- * served table byte-identical to a local run.
- */
-class CellExecutor
-{
-  public:
-    /** Any of @p cache / @p checkpointer may be null (disabled). */
-    CellExecutor(ResultCache *cache, Checkpointer *checkpointer,
-                 ObsConfig obs = {})
-        : cache_(cache), checkpointer_(checkpointer),
-          obs_(std::move(obs))
-    {}
-
-    /** Execute one config through the cache/checkpointer policy. */
-    RunResult run(const RunConfig &config, bool *from_cache = nullptr);
-
-  private:
-    ResultCache *cache_;
-    Checkpointer *checkpointer_;
-    ObsConfig obs_;
-};
-
 /** Knobs for a SweepRunner. */
 struct SweepOptions
 {
@@ -256,7 +228,13 @@ class SweepRunner
     /** Axes convenience overload. */
     SweepTable run(const SweepAxes &axes) { return run(axes.expand()); }
 
-    /** Run one config through the cache. */
+    /**
+     * Run one config — the single place that knows how a grid cell
+     * runs: observability stamping, result-cache lookup (skipped for
+     * observed runs), the checkpointer's default Reuse policy,
+     * runSim(), and the store-back.  run() routes every thread-pool
+     * task through this.
+     */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 
     ResultCache &cache() { return cache_; }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Atomic disk persists: concurrent writers sharing a store file (the
- * distributed-sweep precursor) must never publish a torn file.  The
- * first test demonstrates the failure mode of the old scheme — a
- * fixed ".tmp" temp name shared by every writer — and the rest pin
- * the unique-temp + rename() behavior of common/atomic_file.hh and
- * its users (ResultCache, Snapshot).
+ * Atomic disk persists: concurrent writers sharing a store file
+ * (threads or processes pointed at one store) must never publish a
+ * torn file.  The first test demonstrates the failure mode of the
+ * old scheme — a fixed ".tmp" temp name shared by every writer — and
+ * the rest pin the unique-temp + rename() behavior of
+ * common/atomic_file.hh and its users (ResultCache, Snapshot).
  */
 
 #include <gtest/gtest.h>

@@ -61,6 +61,8 @@ TEST(ParseU64DeathTest, RejectsSignsAndGarbage)
                 ::testing::ExitedWithCode(1), "bad number");
     EXPECT_EXIT(cli::parseU64("", "--n"),
                 ::testing::ExitedWithCode(1), "bad number");
+    EXPECT_EXIT(cli::parseU64("18446744073709551616", "--n"),
+                ::testing::ExitedWithCode(1), "bad number");
 }
 
 TEST(ParseJobs, AcceptsSameRangeAsEnvVar)

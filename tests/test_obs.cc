@@ -57,25 +57,6 @@ TEST(StatsRegistry, GroupIsCreateOrReturn)
     EXPECT_EQ(reg.groups()[1]->name(), "core.dcache");
 }
 
-TEST(StatsRegistry, DropGroupRemovesExactlyTheNamedGroup)
-{
-    StatsRegistry reg;
-    std::uint64_t cells = 0;
-    reg.group("serve.shard.w1").counter("cells", &cells, "completed");
-    reg.group("serve.shard.w2");
-
-    // Dropping releases the name for re-registration (the serve
-    // daemon prunes shards of workers that never took work).
-    EXPECT_TRUE(reg.dropGroup("serve.shard.w1"));
-    ASSERT_EQ(reg.groups().size(), 1u);
-    EXPECT_EQ(reg.groups()[0]->name(), "serve.shard.w2");
-    EXPECT_FALSE(reg.dropGroup("serve.shard.w1"));  // already gone
-
-    StatsGroup &again = reg.group("serve.shard.w1");
-    EXPECT_EQ(again.name(), "serve.shard.w1");
-    EXPECT_EQ(reg.groups().size(), 2u);
-}
-
 TEST(StatsRegistry, DumpReadsLiveValues)
 {
     StatsRegistry reg;

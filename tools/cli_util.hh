@@ -13,6 +13,7 @@
 #define FLYWHEEL_TOOLS_CLI_UTIL_HH
 
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,6 @@
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "perf/bench_report.hh"
-#include "serve/protocol.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
@@ -152,8 +152,9 @@ parseDoubles(const std::string &arg, const char *flag)
 /**
  * Parse one unsigned decimal; fatal on garbage.  Rejects a leading
  * sign explicitly because strtoull silently wraps negative input
- * ("-1" -> 2^64-1), which would turn a typo into an attempt to
- * enqueue 2^64 seeds.
+ * ("-1" -> 2^64-1), and rejects out-of-range input because strtoull
+ * saturates it to 2^64-1; either would turn a typo into an attempt
+ * to enqueue 2^64 seeds.
  */
 inline std::uint64_t
 parseU64(const std::string &s, const char *flag)
@@ -161,8 +162,9 @@ parseU64(const std::string &s, const char *flag)
     if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         FW_FATAL("%s: bad number '%s'", flag, s.c_str());
     char *end = nullptr;
+    errno = 0;
     std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end != s.c_str() + s.size())
+    if (errno == ERANGE || end != s.c_str() + s.size())
         FW_FATAL("%s: bad number '%s'", flag, s.c_str());
     return v;
 }
@@ -180,35 +182,6 @@ parseJobs(const std::string &s, const char *flag)
         FW_FATAL("%s: expected an integer in 1..%u, got '%s'", flag,
                  ThreadPool::kMaxJobs, s.c_str());
     return v;
-}
-
-/**
- * Parse a positive seconds value (decimal, fractions allowed) for
- * timing flags like --lease-timeout / --heartbeat; fatal on garbage.
- */
-inline double
-parseSeconds(const std::string &s, const char *flag)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end != s.c_str() + s.size() || !(v > 0.0))
-        FW_FATAL("%s: expected a positive seconds value, got '%s'",
-                 flag, s.c_str());
-    return v;
-}
-
-/**
- * Parse a serve address ("HOST:PORT" or a Unix socket path) for
- * --listen / --connect; fatal with the parser's message on garbage.
- */
-inline serve::ServeAddress
-parseAddress(const std::string &s, const char *flag)
-{
-    serve::ServeAddress address;
-    std::string error;
-    if (!serve::parseServeAddress(s, &address, &error))
-        FW_FATAL("%s: %s", flag, error.c_str());
-    return address;
 }
 
 /** Open @p path for writing, or map "-" to stdout. */

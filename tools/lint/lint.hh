@@ -67,12 +67,11 @@ struct LintOptions
 {
     /**
      * Path substrings exempt from the determinism checker: the
-     * observability, perf-measurement, serve (lease timing /
-     * heartbeats) and CLI layers legitimately read wall clocks and
-     * never feed simulation results.
+     * observability, perf-measurement and CLI layers legitimately
+     * read wall clocks and never feed simulation results.
      */
     std::vector<std::string> deterministicAllow{"/obs/", "/perf/",
-                                                "/serve/", "tools/"};
+                                                "tools/"};
 };
 
 /** Names of all checkers, in report order. */
