@@ -297,6 +297,11 @@ GridSpec::fromJson(const Json &j, GridSpec *out, std::string *error)
                     return fail(error, std::string("grid.clocks.") + key +
                                 ": expected a number");
                 *dst = c[key].asDouble();
+                if (!isValidClockBoost(*dst))
+                    return fail(error, std::string("grid.clocks.") + key +
+                                ": boost " + c[key].dump(0) +
+                                " gives no clock period (need -1 < "
+                                "boost <= 1999)");
             }
             out->clocks.push_back(point);
         }

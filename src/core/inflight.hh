@@ -20,14 +20,14 @@ namespace flywheel {
 /**
  * In-flight instruction state.
  *
- * Field order is profile-guided (flywheel.layout.v1; see
- * obs/layout_profile.hh): wake-up, the operand-readiness check and
- * the completion gate touch iwVisible, src1Phys/src2Phys and
- * completeTick millions of times per simulated second, so the
- * scheduling state leads the struct (one cache line), the
- * architectural payload follows, and the rarely-read rollback/branch
- * bookkeeping trails.  Snapshots serialize field by field
- * (inflightToBin), so the order here is free to chase the profile.
+ * Field order follows a measured field-access profile (README "Data
+ * layout"): wake-up, the operand-readiness check and the completion
+ * gate touch iwVisible, src1Phys/src2Phys and completeTick millions
+ * of times per simulated second, so the scheduling state leads the
+ * struct (one cache line), the architectural payload follows, and
+ * the rarely-read rollback/branch bookkeeping trails.  Snapshots
+ * serialize field by field (inflightToBin), so the order here is free
+ * to chase the profile.
  */
 struct InFlightInst
 {

@@ -89,9 +89,10 @@ class Lsq
 
   private:
     /**
-     * Field order is profile-guided (flywheel.layout.v1): the
-     * disambiguation walks read seq on every entry, isStore/addrKnown
-     * on the survivors and word only on matching known stores.
+     * Field order follows a measured field-access profile (README
+     * "Data layout"): the disambiguation walks read seq on every
+     * entry, isStore/addrKnown on the survivors and word only on
+     * matching known stores (seq six times per word).
      */
     struct Entry
     {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 
@@ -22,6 +23,15 @@ clockedParams(double fe_boost, double be_boost)
     p.fePeriodPs = 1000.0 / (1.0 + fe_boost);
     p.beFastPeriodPs = 1000.0 / (1.0 + be_boost);
     return p;
+}
+
+bool
+isValidClockBoost(double boost)
+{
+    // The cores llround() each period to whole ticks; 0.5 ps is the
+    // smallest period that rounds to one.
+    return std::isfinite(boost) && 1.0 + boost > 0.0 &&
+           clockedParams(boost, boost).fePeriodPs >= 0.5;
 }
 
 bool
@@ -86,6 +96,19 @@ makeCore(const RunConfig &config, WorkloadStream &stream)
     return std::make_unique<FlywheelCore>(params, stream);
 }
 
+namespace {
+
+/** Resolved interval-sampling schedule. */
+struct SampleSchedule
+{
+    unsigned windows = 1;          ///< 1 = contiguous measurement
+    std::uint64_t window = 0;      ///< detailed instructions per window
+    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
+    std::uint64_t gap = 0;         ///< fast-forward between windows
+    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
+};
+
+/** Derive the schedule @p policy implies for @p measure_instrs. */
 SampleSchedule
 deriveSampleSchedule(const SnapshotPolicy &policy,
                      std::uint64_t measure_instrs)
@@ -107,6 +130,8 @@ deriveSampleSchedule(const SnapshotPolicy &policy,
                                    : s.window / 4;
     return s;
 }
+
+} // namespace
 
 /**
  * Phase 1: bring the simulator to its post-warmup state — by

@@ -157,36 +157,24 @@ struct RunResult
 CoreParams clockedParams(double fe_boost, double be_boost);
 
 /**
+ * True when clockedParams() can use @p boost: it is finite, 1 + boost
+ * is positive, and the period 1000 / (1 + boost) ps rounds to at
+ * least one tick (so boost lies in (-1, 1999]).  Any other value gives
+ * a clock that never advances; callers reject it up front.
+ */
+bool isValidClockBoost(double boost);
+
+/**
  * Build the core @p config describes over @p stream (the factory
- * runSim uses; exposed for the perf harness, the snapshot fuzzer,
- * the perfbench cells and tests).
+ * runSim uses; exposed for the snapshot fuzzer, the perfbench cells
+ * and tests).
  */
 std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
                                    WorkloadStream &stream);
 
 /**
- * Resolved interval-sampling schedule.  One derivation shared by
- * runSim's measurement phase and the perf harness, so what the
- * harness times is by construction the schedule runSim executes.
- */
-struct SampleSchedule
-{
-    unsigned windows = 1;          ///< 1 = contiguous measurement
-    std::uint64_t window = 0;      ///< detailed instructions per window
-    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
-    std::uint64_t gap = 0;         ///< fast-forward between windows
-    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
-
-    bool sampled() const { return windows > 1; }
-};
-
-/** Derive the schedule @p policy implies for @p measure_instrs. */
-SampleSchedule deriveSampleSchedule(const SnapshotPolicy &policy,
-                                    std::uint64_t measure_instrs);
-
-/**
- * Phase 1 of runSim, exposed for other drivers (the perf harness and
- * the perfbench cells, which time each phase on its own):
+ * Phase 1 of runSim, exposed for other drivers (the perfbench cells,
+ * which time each phase on its own):
  * bring @p core to its post-warmup state — simulating, or restoring
  * from / publishing to @p checkpoints per config.snapshot.
  * @return true if the warm state was restored from a checkpoint.
@@ -195,15 +183,15 @@ bool runSimWarmup(const RunConfig &config, CoreBase &core,
                   Checkpointer *checkpoints);
 
 /**
- * Phase 2 of runSim, exposed for other drivers (the perf harness and
- * the perfbench cells): execute the
- * measurement schedule config.snapshot implies — contiguous, or N
- * detailed windows with stream fast-forwards and fresh-core re-warms
- * between them — invoking @p window(core, instrs) for each measured
- * window.  The callback runs the core for exactly @p instrs retired
- * instructions and owns any bookkeeping around it (delta capture,
- * wall-clock timing).  One loop serves runSim and the perf harness,
- * so what the harness times cannot drift from what runSim executes.
+ * Phase 2 of runSim, exposed for other drivers (the perfbench cells):
+ * execute the measurement schedule config.snapshot implies —
+ * contiguous, or N detailed windows with stream fast-forwards and
+ * fresh-core re-warms between them — invoking @p window(core, instrs)
+ * for each measured window.  The callback runs the core for exactly
+ * @p instrs retired instructions and owns any bookkeeping around it
+ * (delta capture, wall-clock timing).  One loop serves runSim and the
+ * benchmark, so what the benchmark times cannot drift from what
+ * runSim executes.
  */
 void forEachMeasureWindow(
     const RunConfig &config, WorkloadStream &stream,

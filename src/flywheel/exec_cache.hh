@@ -37,10 +37,11 @@ class BinWriter;
 class BinReader;
 
 /**
- * One recorded instruction slot.  Field order is profile-guided
- * (flywheel.layout.v1): replay touches pc/rank/op and the register
- * fields on every slot, while recordedEffAddr is only read when a
- * wrong-path slot is synthesized — it trails the struct.
+ * One recorded instruction slot.  Field order follows a measured
+ * field-access profile (README "Data layout"): replay touches
+ * pc/rank/op and the register fields on every slot, while
+ * recordedEffAddr is only read when a wrong-path slot is synthesized
+ * (37x colder than rank) — it trails the struct.
  */
 struct TraceSlot
 {

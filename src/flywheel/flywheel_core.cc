@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.hh"
-#include "obs/layout_profile.hh"
 #include "snapshot/bincodec.hh"
 #include "snapshot/snapshot.hh"
 
@@ -552,7 +551,6 @@ FlywheelCore::enterExec(Tick now)
     const std::uint32_t len = t->length();
     std::uint32_t v = 0;
     while (v < len) {
-        FW_LAYOUT_TOUCH(TraceSlot, pc);
         if (stream_.peek(v).pc != t->slots[t->rankToSlot[v]].pc)
             break;
         ++v;
@@ -607,7 +605,6 @@ FlywheelCore::synthesizeWrongPath(const TraceSlot &slot,
     d.src1 = slot.src1;
     d.src2 = slot.src2;
     d.isCondBranch = slot.isCondBranch;
-    FW_LAYOUT_TOUCH(TraceSlot, recordedEffAddr);
     d.effAddr = slot.recordedEffAddr;
     return d;
 }
@@ -623,7 +620,6 @@ FlywheelCore::replayAllocate(Tick)
          ++i) {
         const std::uint32_t rank = replay_.allocated;
         const TraceSlot &s = t->slots[t->rankToSlot[rank]];
-        FW_LAYOUT_TOUCH(TraceSlot, op);
         const bool wrong = rank >= replay_.valid;
 
         if (rob_.size() >= params_.robEntries)
@@ -696,7 +692,6 @@ FlywheelCore::replayIssue(Tick now)
     free_slots.clear();
     for (std::uint32_t j = u.firstSlot; j < u.firstSlot + u.count; ++j) {
         const std::uint32_t rank = t->slots[j].rank;
-        FW_LAYOUT_TOUCH(TraceSlot, rank);
         const bool wrong = rank >= replay_.valid;
         if (wrong && replay_.divergenceResolved)
             continue;

@@ -92,6 +92,12 @@ lzssDecompress(const char *data, std::size_t size,
                std::size_t raw_size, std::string *out)
 {
     out->clear();
+    // A group is one control byte and at most eight 3-byte match
+    // tokens of at most kMaxMatch bytes each; a claimed size beyond
+    // that expansion is corrupt, and must not reach reserve().
+    constexpr std::size_t kGroupBytes = 1 + 8 * 3;
+    if (raw_size > (size + kGroupBytes - 1) / kGroupBytes * 8 * kMaxMatch)
+        return false;
     out->reserve(raw_size);
     std::size_t i = 0;
     while (i < size && out->size() < raw_size) {

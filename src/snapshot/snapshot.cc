@@ -210,6 +210,14 @@ Snapshot::deserialize(const std::string &bytes, Snapshot *out,
     if (!c.fixed(&want_hash) || !c.str(&snap.key_) || !c.fixed(&count))
         return fail(error, "snapshot truncated in header");
 
+    // The smallest section entry is an empty name (u32 length), the
+    // flags byte and the two u64 sizes.  A count the remaining bytes
+    // cannot hold is corrupt, and must not reach reserve().
+    constexpr std::size_t kMinSectionBytes = 4 + 1 + 8 + 8;
+    if (count > c.left() / kMinSectionBytes)
+        return fail(error, "snapshot section count " +
+                               std::to_string(count) +
+                               " exceeds the file: corrupt snapshot");
     snap.sections_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         Section s;

@@ -182,6 +182,13 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
                    "expected bools");
     expectRejected(head + ", \"grids\": [{\"clocks\": [0.5]}]}",
                    "expected {fe, be}");
+    // Boosts whose period rounds to 0 ps or is not positive.
+    for (const char *clock : {"{\"fe\": 1e9, \"be\": 0.5}",
+                              "{\"fe\": 0, \"be\": -1}",
+                              "{\"fe\": -3}"})
+        expectRejected(head + ", \"grids\": [{\"clocks\": [" + clock +
+                           "]}]}",
+                       "gives no clock period");
     expectRejected(head + ", \"repeat\": 0}", "repeat");
     expectRejected(head + ", \"warmupInstrs\": -5}",
                    "non-negative integer");

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the shared CLI helper header (tools/cli_util.hh):
  * list splitting, strict number parsing (including the fatal paths),
- * the output-file plumbing, and the repeat-median / host-metadata
- * helpers every tool shares.
+ * and the output-file plumbing every tool shares.
  */
 
 #include "tools/cli_util.hh"
@@ -77,41 +76,6 @@ TEST(ParseJobsDeathTest, RejectsZeroAndGarbage)
                 ::testing::ExitedWithCode(1), "expected an integer");
     EXPECT_EXIT(cli::parseJobs("many", "--jobs"),
                 ::testing::ExitedWithCode(1), "expected an integer");
-}
-
-TEST(Median, OddEvenAndEmpty)
-{
-    EXPECT_DOUBLE_EQ(cli::median({3.0, 1.0, 2.0}), 2.0);
-    EXPECT_DOUBLE_EQ(cli::median({4.0, 1.0, 2.0, 3.0}), 2.5);
-    EXPECT_DOUBLE_EQ(cli::median({7.5}), 7.5);
-    EXPECT_DOUBLE_EQ(cli::median({}), 0.0);
-}
-
-TEST(Median, DoesNotMutateCallerOrder)
-{
-    // Takes its argument by value: a caller's rep_seconds list keeps
-    // its chronological order for the report.
-    std::vector<double> reps{3.0, 1.0, 2.0};
-    EXPECT_DOUBLE_EQ(cli::median(reps), 2.0);
-    EXPECT_EQ(reps, (std::vector<double>{3.0, 1.0, 2.0}));
-}
-
-TEST(Geomean, PositiveValuesAndEdgeCases)
-{
-    EXPECT_NEAR(cli::geomean({2.0, 8.0}), 4.0, 1e-12);
-    EXPECT_DOUBLE_EQ(cli::geomean({5.0}), 5.0);
-    EXPECT_DOUBLE_EQ(cli::geomean({}), 0.0);
-    EXPECT_DOUBLE_EQ(cli::geomean({1.0, 0.0}), 0.0);
-}
-
-TEST(HostMeta, CollectsNonEmptyIdentity)
-{
-    cli::HostInfo h = cli::collectHostInfo();
-    EXPECT_FALSE(h.hostname.empty());
-    EXPECT_FALSE(h.cpu.empty());
-    EXPECT_GE(h.hwThreads, 1u);
-    EXPECT_FALSE(h.compiler.empty());
-    EXPECT_TRUE(h.build == "release" || h.build == "debug");
 }
 
 TEST(OpenOut, DashMeansStdout)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/report.hh"
@@ -100,6 +101,21 @@ TEST(Driver, ClockedParamsMatchPaperNotation)
     CoreParams q = clockedParams(1.0, 0.0);
     EXPECT_DOUBLE_EQ(q.fePeriodPs, 500.0);
     EXPECT_DOUBLE_EQ(q.beFastPeriodPs, 1000.0);
+}
+
+TEST(Driver, ValidClockBoostHasAPositiveTickPeriod)
+{
+    // Usable boosts, including slow-downs and the 0.5 ps edge that
+    // still rounds to a one-tick period.
+    for (double ok : {0.0, 0.5, 1.0, -0.5, 100.0, 1999.0})
+        EXPECT_TRUE(isValidClockBoost(ok)) << ok;
+    // Periods of 0 ps (rounded), zero or negative denominators, and
+    // non-finite input: each hung or wedged the simulator.
+    for (double bad : {1e9, 1999.5, -1.0, -2.0,
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_FALSE(isValidClockBoost(bad)) << bad;
 }
 
 TEST(Driver, WarmupWindowIsExcluded)

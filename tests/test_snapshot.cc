@@ -223,6 +223,44 @@ TEST(SnapshotFile, BinaryRejectsTruncationCorruptionAndVersionMismatch)
         EXPECT_FALSE(
             Snapshot::deserialize(bytes + "extra", &out, &error));
         EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+
+        // Inflated length fields must be rejected as corrupt, not
+        // handed to reserve() (which throws std::bad_alloc).  Header:
+        // 18 magic bytes, u32 version, u64 hash, u32 key length, key,
+        // u32 section count; then per section a u32 name length,
+        // name, u8 flags, u64 raw size, u64 stored size, payload.
+        const auto putLe = [](std::string *doc, std::size_t at,
+                              std::uint64_t v, std::size_t width) {
+            for (std::size_t i = 0; i < width; ++i)
+                (*doc)[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+        };
+        const auto getLe = [&bytes](std::size_t at, std::size_t width) {
+            std::uint64_t v = 0;
+            for (std::size_t i = 0; i < width; ++i)
+                v |= std::uint64_t(static_cast<std::uint8_t>(
+                         bytes[at + i]))
+                     << (8 * i);
+            return v;
+        };
+        const std::size_t count_at = 18 + 4 + 8 + 4 + snap.key().size();
+
+        std::string counted = bytes;
+        putLe(&counted, count_at, 0xFFFFFFFFu, 4);
+        EXPECT_FALSE(Snapshot::deserialize(counted, &out, &error));
+        EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
+
+        // Walk to the flags byte of the first compressed section.
+        std::size_t flags_at = count_at + 4 + 4 + getLe(count_at + 4, 4);
+        while (!(bytes[flags_at] & 1)) {
+            const std::size_t next =
+                flags_at + 1 + 8 + 8 + getLe(flags_at + 9, 8);
+            ASSERT_LT(next, bytes.size()) << "no compressed section";
+            flags_at = next + 4 + getLe(next, 4);
+        }
+        std::string inflated = bytes;
+        putLe(&inflated, flags_at + 1, std::uint64_t(1) << 44, 8);
+        EXPECT_FALSE(Snapshot::deserialize(inflated, &out, &error));
+        EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
     }
 
     // A JSON-container document, as older builds could write, is not

@@ -1,12 +1,10 @@
 /**
  * @file
  * Argument/environment helpers shared by the CLIs (flywheel_bench,
- * flywheel_sweep, flywheel_fuzz, flywheel_perf): list splitting,
- * strictly validated number parsing, output-file plumbing, the common
- * flag-value idiom, the shared per-point progress printer, and the
- * repeat-median / host-metadata helpers (re-exported from the perf
- * subsystem).  One implementation so every tool rejects the same
- * garbage — and reports the same way.
+ * flywheel_sweep, flywheel_fuzz): list splitting, strictly validated
+ * number parsing, output-file plumbing, the common flag-value idiom
+ * and the shared per-point progress printer.  One implementation so
+ * every tool rejects the same garbage — and reports the same way.
  */
 
 #ifndef FLYWHEEL_TOOLS_CLI_UTIL_HH
@@ -25,19 +23,11 @@
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
-#include "perf/bench_report.hh"
 #include "snapshot/checkpointer.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
 
 namespace flywheel::cli {
-
-// Repeat-median and host-metadata helpers: one implementation in the
-// perf subsystem, surfaced here so every CLI shares it.
-using flywheel::perf::HostInfo;
-using flywheel::perf::collectHostInfo;
-using flywheel::perf::geomean;
-using flywheel::perf::median;
 
 /**
  * Render a remaining-seconds estimate as the progress line's ETA
@@ -234,7 +224,7 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
 
 /**
  * The snapshot/checkpoint flag set shared by the grid-running CLIs
- * (flywheel_bench, flywheel_sweep, flywheel_perf):
+ * (flywheel_bench, flywheel_sweep):
  *
  *   --checkpoint-dir DIR    warm checkpoint store (default: the
  *                           FLYWHEEL_CHECKPOINTS environment variable)

@@ -105,6 +105,11 @@ main(int argc, char **argv)
             bool is_fe = flag == "--fe";
             std::vector<double> boosts =
                 cli::parseDoubles(value(), flag.c_str());
+            for (double b : boosts)
+                if (!isValidClockBoost(b))
+                    FW_FATAL("%s: boost %g gives no clock period "
+                             "(need -1 < boost <= 1999)",
+                             flag.c_str(), b);
             // Rebuild the clock grid as the fe x be product of
             // whatever has been specified so far.
             std::vector<double> other;

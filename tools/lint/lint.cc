@@ -998,7 +998,7 @@ checkDeterminism(const std::vector<ParsedFile> &files,
                         bare.empty()
                             ? "non-deterministic source `" + tx +
                                   "` in a result-producing path; move "
-                                  "it to the obs/perf/cli layer or "
+                                  "it to the obs or cli layer or "
                                   "annotate with "
                                   "// lint: wallclock(<reason>)"
                             : "wallclock annotation needs a "

@@ -17,7 +17,7 @@
  *                name or accessor name), or carry
  *                `// lint: nostat(<reason>)`.
  *  - determinism: result-producing code (everything outside the
- *                obs/perf/cli layers) may not read wall clocks or
+ *                obs and cli layers) may not read wall clocks or
  *                call rand()-family functions, and may not iterate
  *                std::unordered_map/set (iteration order varies
  *                across libstdc++ versions and would break
@@ -67,11 +67,10 @@ struct LintOptions
 {
     /**
      * Path substrings exempt from the determinism checker: the
-     * observability, perf-measurement and CLI layers legitimately
-     * read wall clocks and never feed simulation results.
+     * observability and CLI layers legitimately read wall clocks and
+     * never feed simulation results.
      */
-    std::vector<std::string> deterministicAllow{"/obs/", "/perf/",
-                                                "tools/"};
+    std::vector<std::string> deterministicAllow{"/obs/", "tools/"};
 };
 
 /** Names of all checkers, in report order. */
