@@ -300,7 +300,7 @@ GridSpec::fromJson(const Json &j, GridSpec *out, std::string *error)
                 if (!isValidClockBoost(*dst))
                     return fail(error, std::string("grid.clocks.") + key +
                                 ": boost " + c[key].dump(0) +
-                                " gives no clock period (need -1 < "
+                                " gives no clock period (need -0.999 <= "
                                 "boost <= 1999)");
             }
             out->clocks.push_back(point);

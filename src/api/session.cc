@@ -116,18 +116,15 @@ Session::runOne(const RunConfig &config, bool *from_cache)
 VerifyReport
 Session::verify(const ExperimentSpec &spec)
 {
-    // Architectural behaviour depends on the workload and the core
-    // parameters, not on the energy model's tech node or gating flag:
-    // normalize those away so e.g. fig15's three nodes verify once.
+    // Architectural behaviour is a property of the simulation, not of
+    // the energy model: points with one simulationKey (e.g. fig15's
+    // three nodes) verify once.
     std::vector<SweepPoint> candidates;
     std::set<std::string> seen;
     for (SweepPoint &pt : spec.expand()) {
         if (pt.kind == CoreKind::Baseline)
             continue;
-        RunConfig canon = pt.config;
-        canon.node = TechNode::N130;
-        canon.frontEndPowerGating = false;
-        if (seen.insert(configKey(canon)).second)
+        if (seen.insert(simulationKey(pt.config)).second)
             candidates.push_back(std::move(pt));
     }
 

@@ -1,5 +1,6 @@
 #include "core/core_base.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hh"
@@ -118,8 +119,12 @@ CoreBase::CoreBase(const CoreParams &params, WorkloadStream &stream,
     // Invariant per-run values, hoisted out of the per-cycle loop.
     l2StallTicks_ = static_cast<Tick>(std::llround(
         params_.mem.l2Cycles * params_.basePeriodPs));
-    progressHorizonTicks_ =
-        static_cast<Tick>(500000.0 * params_.basePeriodPs);
+    // The watchdog allows 500,000 periods of the slowest clock: a
+    // slowed front-end may take longer than that many base periods to
+    // deliver its first fetch.
+    progressHorizonTicks_ = static_cast<Tick>(
+        500000.0 * std::max({params_.basePeriodPs, params_.fePeriodPs,
+                             params_.beFastPeriodPs}));
     issuedPending_.reserve(params_.robEntries);
 
     // One stat per CoreStats field, expanded from the same X-macro
@@ -307,14 +312,14 @@ CoreBase::stepDispatch(Tick now, Tick visible_delay)
     }
 }
 
-bool
-CoreBase::operandsReady(const InFlightInst &inst, Tick now) const
+PhysReg
+CoreBase::unreadySource(const InFlightInst &inst, Tick now) const
 {
     if (inst.src1Phys != kNoPhysReg && regReady_[inst.src1Phys] > now)
-        return false;
+        return inst.src1Phys;
     if (inst.src2Phys != kNoPhysReg && regReady_[inst.src2Phys] > now)
-        return false;
-    return true;
+        return inst.src2Phys;
+    return kNoPhysReg;
 }
 
 void

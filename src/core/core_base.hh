@@ -216,8 +216,13 @@ class CoreBase
     void stepRetire(Tick now, Tick be_period);
 
     // ---- helpers ---------------------------------------------------------
-    /** Operand readiness against the physical scoreboard (EC replay). */
-    bool operandsReady(const InFlightInst &inst, Tick now) const;
+    /**
+     * A source of @p inst not yet ready at @p now on the physical
+     * scoreboard, or kNoPhysReg if both are (EC replay).
+     */
+    PhysReg unreadySource(const InFlightInst &inst, Tick now) const;
+    /** Ready time of @p r on the physical scoreboard. */
+    Tick regReadyAt(PhysReg r) const { return regReady_[r]; }
     /**
      * The one writer of the readiness scoreboard.  A known tick wakes
      * the issue-window entries waiting on @p r; kTickMax marks a

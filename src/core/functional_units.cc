@@ -74,15 +74,17 @@ FunctionalUnits::claim(Pool &pool, Tick now, Tick busy_until)
 }
 
 void
-FunctionalUnits::save(State &s) const
+FunctionalUnits::save(State &s, bool divides) const
 {
+    s.busySaved = divides;
     unsigned i = 0;
     for (const Pool *p : {&intAlu_, &intMulDiv_, &memPort_, &fpAdd_,
                           &fpMulDiv_}) {
         s.used[i] = p->usedThisCycle;
         // Equal-size assign after the first save: no realloc.
-        s.busy[i].assign(p->busyUntil.data(),
-                         p->busyUntil.data() + p->busyUntil.size());
+        if (divides)
+            s.busy[i].assign(p->busyUntil.data(),
+                             p->busyUntil.data() + p->busyUntil.size());
         ++i;
     }
 }
@@ -94,8 +96,9 @@ FunctionalUnits::restore(const State &s)
     for (Pool *p : {&intAlu_, &intMulDiv_, &memPort_, &fpAdd_,
                     &fpMulDiv_}) {
         p->usedThisCycle = s.used[i];
-        std::copy(s.busy[i].begin(), s.busy[i].end(),
-                  p->busyUntil.data());
+        if (s.busySaved)
+            std::copy(s.busy[i].begin(), s.busy[i].end(),
+                      p->busyUntil.data());
         ++i;
     }
 }

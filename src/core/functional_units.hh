@@ -54,16 +54,20 @@ class FunctionalUnits
     {
         static constexpr unsigned kPools = 5;
         unsigned used[kPools] = {};
+        bool busySaved = false;
         std::vector<Tick> busy[kPools];
     };
 
     /**
      * Capture claim state into @p out; restore() undoes claims made
-     * since.  The caller keeps one State and reuses it: after the
-     * first save() the per-pool buffers are right-sized, so the
-     * save/restore pair is allocation-free on the replay hot path.
+     * since.  Only divides write the per-unit busy times, so with
+     * @p divides false (no divide is claimed before the restore) just
+     * the per-cycle claim counts are copied.  The caller keeps one
+     * State and reuses it: after the first full save() the per-pool
+     * buffers are right-sized, so the save/restore pair is
+     * allocation-free on the replay hot path.
      */
-    void save(State &out) const;
+    void save(State &out, bool divides) const;
     void restore(const State &state);
 
     /** Serialize all per-unit busy state (simulator snapshots). */

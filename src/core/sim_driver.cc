@@ -29,8 +29,10 @@ bool
 isValidClockBoost(double boost)
 {
     // The cores llround() each period to whole ticks; 0.5 ps is the
-    // smallest period that rounds to one.
-    return std::isfinite(boost) && 1.0 + boost > 0.0 &&
+    // smallest period that rounds to one.  The slowest clock allowed
+    // is 1000 base periods: slower ones still run, but every fetch
+    // costs a million back-end edges.
+    return std::isfinite(boost) && 1.0 + boost >= 0.001 &&
            clockedParams(boost, boost).fePeriodPs >= 0.5;
 }
 
@@ -88,11 +90,14 @@ defaultWarmupInstrs()
 std::unique_ptr<CoreBase>
 makeCore(const RunConfig &config, WorkloadStream &stream)
 {
+    // The baseline is built from its canonical parameters, so the
+    // fields simulationConfig() resets cannot reach it.
+    if (config.kind == CoreKind::Baseline)
+        return std::make_unique<BaselineCore>(
+            simulationConfig(config).params, stream);
     CoreParams params = config.params;
     if (config.kind == CoreKind::RegisterAllocation)
         params.execCacheEnabled = false;
-    if (config.kind == CoreKind::Baseline)
-        return std::make_unique<BaselineCore>(params, stream);
     return std::make_unique<FlywheelCore>(params, stream);
 }
 
@@ -255,6 +260,36 @@ reduceToResult(const RunConfig &config, const EnergyEvents &events,
     r.energy = computeEnergy(r.events, config.node, leak);
     r.averageWatts = r.energy.averageWatts(r.timePs);
     return r;
+}
+
+RunConfig
+simulationConfig(const RunConfig &config)
+{
+    RunConfig canon = config;
+    canon.node = TechNode::N130;
+    canon.frontEndPowerGating = false;
+    if (canon.kind == CoreKind::Baseline) {
+        const CoreParams defaults;
+        CoreParams &p = canon.params;
+        p.fePeriodPs = p.basePeriodPs;
+        p.beFastPeriodPs = p.basePeriodPs;
+        p.execCacheEnabled = defaults.execCacheEnabled;
+        p.srtEnabled = defaults.srtEnabled;
+        p.ecTotalBlocks = defaults.ecTotalBlocks;
+        p.ecBlockSlots = defaults.ecBlockSlots;
+        p.ecTaEntries = defaults.ecTaEntries;
+        p.ecReadCycles = defaults.ecReadCycles;
+        p.maxTraceBlocks = defaults.maxTraceBlocks;
+        p.minTraceUnits = defaults.minTraceUnits;
+        p.minTraceInstrs = defaults.minTraceInstrs;
+        p.traceRebuildPolicy = defaults.traceRebuildPolicy;
+        p.poolPhysRegs = defaults.poolPhysRegs;
+        p.minPoolSize = defaults.minPoolSize;
+        p.redistributionInterval = defaults.redistributionInterval;
+        p.redistributionCost = defaults.redistributionCost;
+        p.redistributionStallFrac = defaults.redistributionStallFrac;
+    }
+    return canon;
 }
 
 RunResult

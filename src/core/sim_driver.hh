@@ -157,10 +157,11 @@ struct RunResult
 CoreParams clockedParams(double fe_boost, double be_boost);
 
 /**
- * True when clockedParams() can use @p boost: it is finite, 1 + boost
- * is positive, and the period 1000 / (1 + boost) ps rounds to at
- * least one tick (so boost lies in (-1, 1999]).  Any other value gives
- * a clock that never advances; callers reject it up front.
+ * True when clockedParams() can use @p boost: it is finite, and the
+ * period 1000 / (1 + boost) ps rounds to at least one tick and is at
+ * most 1000 base periods (so boost lies in [-0.999, 1999]).  Other
+ * values give a clock that never advances or one too slow to simulate;
+ * callers reject them up front.
  */
 bool isValidClockBoost(double boost);
 
@@ -207,6 +208,18 @@ void forEachMeasureWindow(
 RunResult reduceToResult(const RunConfig &config,
                          const EnergyEvents &events,
                          const CoreStats &stats);
+
+/**
+ * The simulation @p config runs, with every field the simulator never
+ * reads reset to its default: the tech node (0.13 µm) and the
+ * front-end gating flag, which only reduceToResult() reads, and for
+ * the baseline core the FE/BE clock plan and the Flywheel-only knobs
+ * (it clocks everything at basePeriodPs).  Two configs with equal
+ * simulationConfig() measure identical window deltas, so one run
+ * serves both: reduceToResult() with each config gives each its own
+ * RunResult.
+ */
+RunConfig simulationConfig(const RunConfig &config);
 
 /**
  * Execute one run.  Honours config.snapshot: with a non-Off mode and

@@ -671,6 +671,11 @@ FlywheelCore::replayIssue(Tick now)
 {
     if (!replayActive())
         return;
+    if (replay_.blockedOn != kNoPhysReg) {
+        if (regReadyAt(replay_.blockedOn) > now)
+            return;
+        replay_.blockedOn = kNoPhysReg;
+    }
     Trace *t = replay_.trace;
     if (replay_.nextUnit >= t->units.size() ||
         replay_.nextUnit > replay_.lastUnit) {
@@ -726,20 +731,26 @@ FlywheelCore::replayIssue(Tick now)
     // schedule did at build time.
     std::vector<InstSeqNum> &co_stores = coStoresScratch_;
     co_stores.clear();
+    bool divides = false;
     for (InFlightInst *p : active) {
-        if (!operandsReady(*p, now))
+        const PhysReg blocker = unreadySource(*p, now);
+        if (blocker != kNoPhysReg) {
+            replay_.blockedOn = blocker;
             return;
+        }
         if (p->isLoad() &&
             !lsq_.loadMayIssue(p->arch.seq, co_stores)) {
             return;
         }
         if (p->isStore())
             co_stores.push_back(p->arch.seq);
+        divides |= p->arch.op == OpClass::IntDiv ||
+                   p->arch.op == OpClass::FpDiv;
     }
 
     // Claim functional units atomically (snapshot into a reused
     // buffer; this runs every trace-execution cycle).
-    fus_.save(fuStateScratch_);
+    fus_.save(fuStateScratch_, divides);
     for (InFlightInst *p : active) {
         if (!fus_.tryIssue(p->arch.op, now, double(beFast_))) {
             fus_.restore(fuStateScratch_);
@@ -766,6 +777,7 @@ FlywheelCore::resolveDivergence(InFlightInst &branch, Tick now)
     FW_ASSERT(replayActive(), "divergence outside a replay");
     ++stats_.traceDivergences;
     replay_.divergenceResolved = true;
+    replay_.blockedOn = kNoPhysReg;
     replay_.allocLimit = std::min(replay_.allocLimit, replay_.valid);
 
     // Squash the wrong-path tail: allocation is rank-ordered, so all

@@ -128,6 +128,13 @@ class FlywheelCore : public CoreBase
         InstSeqNum baseSeq = 0;
         bool endHandled = false;
         std::vector<InFlightInst *> byRank;
+        /**
+         * Source register the next unit last failed its operand check
+         * on (kNoPhysReg = none).  While it is not ready the unit
+         * cannot issue, so replayIssue() returns without re-checking.
+         * Not serialized: a restored replay re-derives it.
+         */
+        PhysReg blockedOn = kNoPhysReg;
 
         /** Back to the idle state, keeping vector capacity: replays
          *  start every few hundred cycles, so the buffers are reused
@@ -149,6 +156,7 @@ class FlywheelCore : public CoreBase
             baseSeq = 0;
             endHandled = false;
             byRank.clear();
+            blockedOn = kNoPhysReg;
         }
     };
 

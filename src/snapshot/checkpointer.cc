@@ -25,41 +25,16 @@ checkpointKey(const RunConfig &config)
 {
     // Everything that cannot influence warmed-up simulator state is
     // canonicalized away so equivalent cells share one checkpoint:
-    //  - tech node and power gating feed only the energy model;
+    //  - simulationConfig() drops what the simulator never reads (the
+    //    energy model's node and gating flag; for the baseline, the
+    //    FE/BE clock plan and the Flywheel-only parameters);
     //  - the measurement length happens after the warmup;
     //  - the snapshot policy chooses *whether* to checkpoint, never
     //    what the warm state is (sampling alters only the measurement
-    //    phase, which follows the warmup);
-    //  - the baseline core never reads the FE/BE clock plan or any
-    //    Flywheel-only mechanism parameter (it clocks everything at
-    //    basePeriodPs; see BaselineCore/CoreBase).
-    RunConfig canon = config;
-    canon.node = TechNode::N130;
-    canon.frontEndPowerGating = false;
+    //    phase, which follows the warmup).
+    RunConfig canon = simulationConfig(config);
     canon.measureInstrs = 0;
     canon.snapshot = SnapshotPolicy{};
-    if (canon.kind == CoreKind::Baseline) {
-        const CoreParams defaults;
-        canon.params.fePeriodPs = canon.params.basePeriodPs;
-        canon.params.beFastPeriodPs = canon.params.basePeriodPs;
-        canon.params.execCacheEnabled = defaults.execCacheEnabled;
-        canon.params.srtEnabled = defaults.srtEnabled;
-        canon.params.ecTotalBlocks = defaults.ecTotalBlocks;
-        canon.params.ecBlockSlots = defaults.ecBlockSlots;
-        canon.params.ecTaEntries = defaults.ecTaEntries;
-        canon.params.ecReadCycles = defaults.ecReadCycles;
-        canon.params.maxTraceBlocks = defaults.maxTraceBlocks;
-        canon.params.minTraceUnits = defaults.minTraceUnits;
-        canon.params.minTraceInstrs = defaults.minTraceInstrs;
-        canon.params.traceRebuildPolicy = defaults.traceRebuildPolicy;
-        canon.params.poolPhysRegs = defaults.poolPhysRegs;
-        canon.params.minPoolSize = defaults.minPoolSize;
-        canon.params.redistributionInterval =
-            defaults.redistributionInterval;
-        canon.params.redistributionCost = defaults.redistributionCost;
-        canon.params.redistributionStallFrac =
-            defaults.redistributionStallFrac;
-    }
     return "ckptv=" + std::to_string(Snapshot::kFormatVersion) + ";" +
            configKey(canon);
 }

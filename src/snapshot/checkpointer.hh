@@ -17,10 +17,11 @@
  *    later processes reuse checkpoints across invocations.
  *
  * Keys canonicalize away everything that provably cannot influence
- * warm state: the energy-model tech node and gating flag, the
- * measurement length, the snapshot policy itself — and, for the
- * baseline core, the Flywheel-only parameters and the FE/BE clock
- * plan it never reads.  See checkpointKey().
+ * warm state: what simulationConfig() drops (the energy-model tech
+ * node and gating flag and, for the baseline core, the Flywheel-only
+ * parameters and the FE/BE clock plan it never reads), plus the
+ * measurement length and the snapshot policy itself.  See
+ * checkpointKey().
  */
 
 #ifndef FLYWHEEL_SNAPSHOT_CHECKPOINTER_HH

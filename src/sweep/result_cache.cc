@@ -61,13 +61,21 @@ class KeyBuilder
     std::ostringstream os_;
 };
 
+/**
+ * Version of the configKey() field list.  It is part of every point's
+ * configHash and checkpoint key, so it changes only when the list
+ * does; ResultCache::kFormatVersion versions the cache file on its
+ * own.
+ */
+constexpr unsigned kConfigKeyVersion = 2;
+
 } // namespace
 
 std::string
 configKey(const RunConfig &c)
 {
     KeyBuilder k;
-    k.add("v", unsigned(ResultCache::kFormatVersion));
+    k.add("v", kConfigKeyVersion);
 
     // Workload profile: every knob, not just the name, so ad-hoc
     // profiles and future recalibrations never alias.
@@ -176,6 +184,12 @@ configKey(const RunConfig &c)
     cache("l2", cp.mem.l2);
 
     return k.str();
+}
+
+std::string
+simulationKey(const RunConfig &config)
+{
+    return configKey(simulationConfig(config));
 }
 
 std::uint64_t

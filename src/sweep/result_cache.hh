@@ -1,11 +1,15 @@
 /**
  * @file
- * Content-addressed cache of completed simulation runs.  A RunConfig
- * is reduced to a canonical key string naming every field that can
- * influence the simulation outcome (workload profile knobs, core
- * parameters, clocks, technology node, run lengths); the cache maps
- * that key to the finished RunResult.  Repeating a sweep — or
- * enlarging one axis of it — then re-simulates only the new points.
+ * Content-addressed cache of completed simulations.  A RunConfig is
+ * reduced to a canonical key string naming every field that can
+ * influence what the simulator measures (workload profile knobs, core
+ * parameters, clocks, run lengths, sampling); the cache maps that key
+ * to the finished RunResult.  The key is taken over simulationConfig(),
+ * so it leaves out the energy model's tech node and gating flag and
+ * the clock plan the baseline core never reads: a hit re-reduces the
+ * cached window deltas for the requesting config (reduceToResult), and
+ * one simulation serves every such variant.  Repeating a sweep — or
+ * enlarging one axis of it — then re-simulates only the new runs.
  *
  * The cache is thread-safe and optionally persistent: given a file
  * path it loads existing entries on open and save() writes the merged
@@ -25,11 +29,19 @@
 namespace flywheel {
 
 /**
- * Canonical cache key for @p config: a "field=value;" list covering
- * every simulation-relevant field.  Two configs produce the same key
- * iff runSim() is guaranteed to produce the same result for both.
+ * Canonical identity of the grid point @p config: a "field=value;"
+ * list covering every field that can change its RunResult.  Two
+ * configs produce the same key iff runSim() is guaranteed to produce
+ * the same result for both.  Exported rows hash it as configHash.
  */
 std::string configKey(const RunConfig &config);
+
+/**
+ * Result-cache key: configKey(simulationConfig(@p config)).  Two
+ * configs share it iff they measure the same window deltas; their
+ * RunResults may still differ in the energy model's outputs.
+ */
+std::string simulationKey(const RunConfig &config);
 
 /** FNV-1a 64-bit hash, used for compact key digests in logs/exports. */
 std::uint64_t fnv1a64(const std::string &s);
@@ -65,8 +77,10 @@ class ResultCache
     const std::string &path() const { return path_; }
 
     /** On-disk format version (bump when serialization changes).
-     *  v2: keys gained the snapshot-sampling fields. */
-    static constexpr int kFormatVersion = 2;
+     *  v2: keys gained the snapshot-sampling fields.
+     *  v3: keys are simulationKey()s; an entry's energy is re-reduced
+     *  on every hit. */
+    static constexpr int kFormatVersion = 3;
 
   private:
     enum class LoadStatus { Ok, Missing, ParseError, BadVersion,

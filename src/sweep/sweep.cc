@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <unordered_map>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -211,13 +212,29 @@ SweepRunner::~SweepRunner()
         FW_INFORM("%s", checkpointer_->summaryLine().c_str());
 }
 
+namespace {
+
+/**
+ * @p measured's window deltas reduced for @p config, which simulates
+ * the same run; the host telemetry stays that of the simulation.
+ */
+RunResult
+reduceFor(const RunConfig &config, const RunResult &measured)
+{
+    RunResult r = reduceToResult(config, measured.events, measured.stats);
+    r.telemetry = measured.telemetry;
+    return r;
+}
+
+} // namespace
+
 RunResult
 SweepRunner::runOne(const RunConfig &config, bool *from_cache)
 {
     RunConfig cfg = config;
     if (!cfg.obs.active() && options_.obs.active())
         cfg.obs = options_.obs;
-    const std::string key = configKey(cfg);
+    const std::string key = simulationKey(cfg);
     RunResult result;
     // An observed run must actually execute: a cache hit would skip
     // the simulation its stats/trace documents are meant to describe.
@@ -226,7 +243,9 @@ SweepRunner::runOne(const RunConfig &config, bool *from_cache)
     if (!cfg.obs.active() && cache_.lookup(key, &result)) {
         if (from_cache)
             *from_cache = true;
-        return result;
+        // The entry may have been simulated for another tech node,
+        // gating flag or baseline clock plan: reduce it for this one.
+        return reduceFor(cfg, result);
     }
     // A runner with a checkpoint store checkpoints every cell's
     // warmup by default; an explicit per-config policy wins.  The
@@ -235,7 +254,9 @@ SweepRunner::runOne(const RunConfig &config, bool *from_cache)
         cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
         cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
     result = runSim(cfg, checkpointer_.get());
-    cache_.store(key, result);
+    // Entries hold the simulation's own reduction, so the cache file
+    // depends only on its keys, not on which point ran first.
+    cache_.store(key, reduceFor(simulationConfig(cfg), result));
     if (from_cache)
         *from_cache = false;
     return result;
@@ -263,6 +284,24 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 
     std::vector<SweepRecord> records(points.size());
 
+    // Points that share a simulation run it once: the first of them
+    // in grid order simulates (or hits the cache), and the others are
+    // reduced from its window deltas after the pool finishes.
+    // Observed points always simulate, as in runOne().
+    std::vector<std::size_t> source(points.size());
+    std::vector<std::size_t> simulated;
+    std::unordered_map<std::string, std::size_t> first_of;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        records[i].point = points[i];
+        source[i] = i;
+        if (!points[i].config.obs.active() && !options_.obs.active())
+            source[i] =
+                first_of.emplace(simulationKey(points[i].config), i)
+                    .first->second;
+        if (source[i] == i)
+            simulated.push_back(i);
+    }
+
     std::mutex progress_mutex; // serializes the progress callback
     std::size_t done = 0;
     const auto report = [&](std::size_t i) {
@@ -274,16 +313,27 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
                           records[i].result, records[i].fromCache);
     };
 
-    pool_.parallelFor(points.size(), [&](std::size_t i) {
-        SweepRecord &rec = records[i];
-        rec.point = points[i];
+    pool_.parallelFor(simulated.size(), [&](std::size_t n) {
+        SweepRecord &rec = records[simulated[n]];
         const auto cell_start = Clock::now();
         rec.result = runOne(rec.point.config, &rec.fromCache);
         rec.wallSeconds =
             std::chrono::duration<double>(Clock::now() - cell_start)
                 .count();
-        report(i);
+        report(simulated[n]);
     });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (source[i] == i)
+            continue;
+        SweepRecord &rec = records[i];
+        const auto cell_start = Clock::now();
+        rec.result = reduceFor(rec.point.config, records[source[i]].result);
+        rec.fromCache = true;
+        rec.wallSeconds =
+            std::chrono::duration<double>(Clock::now() - cell_start)
+                .count();
+        report(i);
+    }
 
     if (!options_.cachePath.empty())
         cache_.save();

@@ -11,9 +11,11 @@
  *    because runSim() shares no mutable state between runs (workload
  *    RNG and statistics are per-core instances; see the audit notes
  *    in README.md);
- *  - incremental re-runs: completed points are memoized in a
- *    ResultCache keyed by the full simulation-relevant config, so
- *    repeating or extending a sweep only simulates new points;
+ *  - each distinct simulation runs once: points are memoized in a
+ *    ResultCache keyed by simulationKey(), and points of one grid
+ *    that share that key (tech nodes, gating, baseline clock plans)
+ *    are reduced from one run, so repeating or extending a sweep only
+ *    simulates new runs;
  *  - structured export: a finished sweep serializes to JSON and CSV
  *    with byte-stable output.
  */
@@ -99,6 +101,7 @@ struct SweepRecord
 {
     SweepPoint point;
     RunResult result;
+    /** Reduced from a cached or shared run instead of simulated. */
     bool fromCache = false;
     /**
      * Host wall-clock spent producing this cell (near zero on a cache
@@ -222,7 +225,12 @@ class SweepRunner
     /** Logs the checkpoint-store summary line (suppressed by Quiet). */
     ~SweepRunner();
 
-    /** Run every point; results in submission order. */
+    /**
+     * Run every point; results in submission order.  Unobserved
+     * points with one simulationKey() simulate once: the first in
+     * grid order runs, the others are reduced from its result and
+     * reported as cache hits.
+     */
     SweepTable run(const std::vector<SweepPoint> &points);
 
     /** Axes convenience overload. */
@@ -231,9 +239,9 @@ class SweepRunner
     /**
      * Run one config — the single place that knows how a grid cell
      * runs: observability stamping, result-cache lookup (skipped for
-     * observed runs), the checkpointer's default Reuse policy,
-     * runSim(), and the store-back.  run() routes every thread-pool
-     * task through this.
+     * observed runs) with the hit reduced for @p config, the
+     * checkpointer's default Reuse policy, runSim(), and the
+     * store-back.  run() routes every thread-pool task through this.
      */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 

@@ -808,7 +808,8 @@ class WaitProbe : public Core
     {
         unsigned n = 0;
         for (const InFlightInst &i : this->rob_)
-            if (i.inIw && !this->operandsReady(i, kTickMax - 1))
+            if (i.inIw &&
+                this->unreadySource(i, kTickMax - 1) != kNoPhysReg)
                 ++n;
         return n;
     }
@@ -920,13 +921,23 @@ TEST(FunctionalUnits, SaveRestoreUndoesClaims)
     FunctionalUnits fu(arena, {}, {});
     fu.beginCycle(0);
     FunctionalUnits::State snap;
-    fu.save(snap);
+    fu.save(snap, /*divides=*/false);
     EXPECT_TRUE(fu.tryIssue(OpClass::Load, 0, 1000.0));
     EXPECT_TRUE(fu.tryIssue(OpClass::Store, 0, 1000.0));
     EXPECT_FALSE(fu.canIssue(OpClass::Load, 0, 0));
     fu.restore(snap);
     EXPECT_TRUE(fu.canIssue(OpClass::Load, 0, 0));
     EXPECT_TRUE(fu.tryIssue(OpClass::Load, 0, 1000.0));
+
+    // A divide holds its unit past the cycle; a full save undoes that
+    // too.  Both MUL/DIV units are taken, so only the undo frees one.
+    fu.beginCycle(1000);
+    fu.save(snap, /*divides=*/true);
+    EXPECT_TRUE(fu.tryIssue(OpClass::IntDiv, 1000, 1000.0));
+    EXPECT_TRUE(fu.tryIssue(OpClass::IntDiv, 1000, 1000.0));
+    fu.restore(snap);
+    fu.beginCycle(2000);
+    EXPECT_TRUE(fu.tryIssue(OpClass::IntMul, 2000, 1000.0));
 }
 
 TEST(FunctionalUnits, CanIssueCountsPriorClaims)

@@ -105,13 +105,14 @@ TEST(Driver, ClockedParamsMatchPaperNotation)
 
 TEST(Driver, ValidClockBoostHasAPositiveTickPeriod)
 {
-    // Usable boosts, including slow-downs and the 0.5 ps edge that
-    // still rounds to a one-tick period.
-    for (double ok : {0.0, 0.5, 1.0, -0.5, 100.0, 1999.0})
+    // Usable boosts, including slow-downs down to 1000 base periods
+    // and the 0.5 ps edge that still rounds to a one-tick period.
+    for (double ok : {0.0, 0.5, 1.0, -0.5, -0.999, 100.0, 1999.0})
         EXPECT_TRUE(isValidClockBoost(ok)) << ok;
-    // Periods of 0 ps (rounded), zero or negative denominators, and
-    // non-finite input: each hung or wedged the simulator.
-    for (double bad : {1e9, 1999.5, -1.0, -2.0,
+    // Periods of 0 ps (rounded), zero or negative denominators,
+    // non-finite input, and periods past 1000 base periods: each hung
+    // or wedged the simulator.
+    for (double bad : {1e9, 1999.5, -1.0, -2.0, -0.999999,
                        std::numeric_limits<double>::infinity(),
                        -std::numeric_limits<double>::infinity(),
                        std::numeric_limits<double>::quiet_NaN()})

@@ -651,19 +651,19 @@ TEST(IntervalSampling, MeasuresTheBudgetDeterministically)
 
 TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)
 {
-    // Two cells differing only in tech node share a checkpoint key;
-    // with an in-memory store the second cell restores the first's
-    // warmup, and results must equal the uncheckpointed runner's.
+    // Two cells differing only in measurement length share a
+    // checkpoint key but not a simulation; with an in-memory store the
+    // second cell restores the first's warmup, and results must equal
+    // the uncheckpointed runner's.  (Cells differing only in tech node
+    // share the whole simulation, so the second would not run.)
     auto points = [] {
         std::vector<SweepPoint> pts;
-        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0},
-                                TechNode::N130));
-        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0},
-                                TechNode::N90));
-        for (SweepPoint &pt : pts) {
+        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0}));
+        pts.push_back(makePoint("gzip", CoreKind::Flywheel, {0.0, 0.0}));
+        for (SweepPoint &pt : pts)
             pt.config.warmupInstrs = 8000;
-            pt.config.measureInstrs = 10000;
-        }
+        pts[0].config.measureInstrs = 10000;
+        pts[1].config.measureInstrs = 12000;
         return pts;
     }();
 

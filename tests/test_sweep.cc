@@ -168,6 +168,180 @@ TEST(ConfigKey, DistinguishesEveryAxis)
     EXPECT_EQ(key, configKey(same.config));
 }
 
+/** Shorten @p points to keep the grid cheap. */
+void
+shorten(std::vector<SweepPoint> &points)
+{
+    for (auto &pt : points) {
+        pt.config.warmupInstrs = 2000;
+        pt.config.measureInstrs = 5000;
+    }
+}
+
+/**
+ * Variants of three simulations: one Flywheel run over node x gating,
+ * the baseline at two clock plans and two nodes (it never reads the
+ * FE/BE clocks), and one more Flywheel clock plan.
+ */
+std::vector<SweepPoint>
+variantGrid()
+{
+    std::vector<SweepPoint> points;
+    for (TechNode node : {TechNode::N130, TechNode::N60})
+        for (bool gating : {false, true})
+            points.push_back(makePoint("gcc", CoreKind::Flywheel,
+                                       {0.5, 0.5}, node, gating));
+    for (ClockPoint clock : {ClockPoint{0.0, 0.0}, ClockPoint{0.5, 0.25}})
+        for (TechNode node : {TechNode::N130, TechNode::N90})
+            points.push_back(
+                makePoint("gcc", CoreKind::Baseline, clock, node));
+    points.push_back(makePoint("gcc", CoreKind::Flywheel, {0.0, 0.5}));
+    shorten(points);
+    return points;
+}
+
+TEST(SimulationKey, DropsOnlyWhatTheSimulatorNeverReads)
+{
+    const RunConfig fly =
+        makePoint("gcc", CoreKind::Flywheel, {0.5, 0.5}).config;
+    const RunConfig base =
+        makePoint("gcc", CoreKind::Baseline, {0.0, 0.0}).config;
+
+    struct Pair
+    {
+        const char *what;
+        RunConfig a, b;
+        bool same;
+    };
+    std::vector<Pair> pairs;
+    const auto add = [&](const char *what, const RunConfig &a,
+                         bool same, auto edit) {
+        RunConfig b = a;
+        edit(b);
+        pairs.push_back({what, a, b, same});
+    };
+    add("flywheel node", fly, true,
+        [](RunConfig &c) { c.node = TechNode::N60; });
+    add("flywheel gating", fly, true,
+        [](RunConfig &c) { c.frontEndPowerGating = true; });
+    add("baseline clock plan", base, true,
+        [](RunConfig &c) { c.params = clockedParams(0.5, 0.25); });
+    add("baseline EC knobs", base, true, [](RunConfig &c) {
+        c.params.ecTotalBlocks /= 2;
+        c.params.poolPhysRegs += 8;
+    });
+    add("flywheel clock plan", fly, false,
+        [](RunConfig &c) { c.params = clockedParams(0.0, 0.5); });
+    add("flywheel EC size", fly, false,
+        [](RunConfig &c) { c.params.ecTotalBlocks /= 2; });
+    add("baseline period", base, false,
+        [](RunConfig &c) { c.params.basePeriodPs = 800.0; });
+    add("core kind", base, false,
+        [](RunConfig &c) { c.kind = CoreKind::RegisterAllocation; });
+    add("benchmark", fly, false, [](RunConfig &c) {
+        c.profile = makePoint("gzip", CoreKind::Flywheel, {}).config.profile;
+    });
+    add("warmup", fly, false, [](RunConfig &c) { c.warmupInstrs += 1; });
+
+    for (const Pair &p : pairs) {
+        EXPECT_EQ(simulationKey(p.a) == simulationKey(p.b), p.same)
+            << p.what;
+        EXPECT_EQ(checkpointKey(p.a) == checkpointKey(p.b), p.same)
+            << p.what;
+        // The point identity still tells every variant apart.
+        EXPECT_NE(configKey(p.a), configKey(p.b)) << p.what;
+    }
+}
+
+TEST(SweepRunner, EachDistinctSimulationRunsOnce)
+{
+    const std::vector<SweepPoint> points = variantGrid();
+    const std::size_t distinct = 3;
+
+    std::vector<std::string> json, csv;
+    for (unsigned jobs : {1u, 4u, 8u}) {
+        SweepOptions opts;
+        opts.jobs = jobs;
+        SweepRunner runner(opts);
+        const SweepTable table = runner.run(points);
+        ASSERT_EQ(table.size(), points.size());
+        EXPECT_EQ(table.telemetry().cacheHits, points.size() - distinct)
+            << "jobs " << jobs;
+        EXPECT_EQ(runner.cache().size(), distinct);
+        // The first point of each simulation in grid order runs.
+        for (std::size_t i : {0u, 4u, 8u})
+            EXPECT_FALSE(table.at(i).fromCache) << "point " << i;
+        if (jobs == 1) {
+            for (std::size_t i = 0; i < table.size(); ++i)
+                EXPECT_EQ(toJson(table.at(i).result).dump(),
+                          toJson(runSim(points[i].config)).dump())
+                    << "point " << i;
+        }
+        std::ostringstream j, c;
+        table.writeJson(j);
+        table.writeCsv(c);
+        json.push_back(j.str());
+        csv.push_back(c.str());
+    }
+    for (std::size_t t = 1; t < json.size(); ++t) {
+        EXPECT_EQ(json[t], json[0]);
+        EXPECT_EQ(csv[t], csv[0]);
+    }
+}
+
+TEST(SweepRunner, CacheHitIsReducedForTheRequestingNode)
+{
+    RunConfig at130 = makePoint("gcc", CoreKind::Flywheel, {0.5, 0.5},
+                                TechNode::N130)
+                          .config;
+    at130.warmupInstrs = 2000;
+    at130.measureInstrs = 5000;
+    RunConfig at60 = at130;
+    at60.node = TechNode::N60;
+    const std::string want = toJson(runSim(at60)).dump();
+    const std::string path = "test_sweep_node_cache.json";
+    std::remove(path.c_str());
+
+    {
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.cachePath = path;
+        SweepRunner runner(opts);
+        bool hit = true;
+        const RunResult filled = runner.runOne(at130, &hit);
+        EXPECT_FALSE(hit);
+        const RunResult read = runner.runOne(at60, &hit);
+        EXPECT_TRUE(hit);
+        EXPECT_EQ(toJson(read).dump(), want);
+        EXPECT_NE(read.energy.totalPj(), filled.energy.totalPj());
+        ASSERT_TRUE(runner.cache().save());
+    }
+    // The same through the cache file.
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.cachePath = path;
+    SweepRunner runner(opts);
+    bool hit = false;
+    EXPECT_EQ(toJson(runner.runOne(at60, &hit)).dump(), want);
+    EXPECT_TRUE(hit);
+    std::remove(path.c_str());
+}
+
+TEST(SweepRunner, ObservedGridSimulatesEveryRow)
+{
+    const std::vector<SweepPoint> points = variantGrid();
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.obs.collectStats = true;
+    SweepRunner runner(opts);
+    const SweepTable table = runner.run(points);
+    EXPECT_EQ(table.telemetry().cacheHits, 0u);
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        EXPECT_FALSE(table.at(i).fromCache) << "point " << i;
+        EXPECT_NE(table.at(i).result.statsDoc, nullptr) << "point " << i;
+    }
+}
+
 TEST(SweepRunner, DeterministicAcrossJobCounts)
 {
     std::vector<SweepPoint> points = smallGrid();

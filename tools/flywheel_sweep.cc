@@ -108,7 +108,7 @@ main(int argc, char **argv)
             for (double b : boosts)
                 if (!isValidClockBoost(b))
                     FW_FATAL("%s: boost %g gives no clock period "
-                             "(need -1 < boost <= 1999)",
+                             "(need -0.999 <= boost <= 1999)",
                              flag.c_str(), b);
             // Rebuild the clock grid as the fe x be product of
             // whatever has been specified so far.
