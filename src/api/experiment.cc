@@ -352,14 +352,6 @@ ExperimentSpec::expand() const
                       std::make_move_iterator(block.begin()),
                       std::make_move_iterator(block.end()));
     }
-    if (sampleWindows > 0) {
-        for (SweepPoint &pt : points) {
-            pt.config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-            pt.config.snapshot.sampleWindows = sampleWindows;
-            pt.config.snapshot.sampleFastForward = sampleFastForward;
-            pt.config.snapshot.sampleWarmup = sampleWarmup;
-        }
-    }
     return points;
 }
 
@@ -375,11 +367,6 @@ ExperimentSpec::toJson() const
     j.set("measureInstrs", measureInstrs);
     j.set("repeat", repeat);
     j.set("verify", verify);
-    Json sampling = Json::object();
-    sampling.set("windows", sampleWindows);
-    sampling.set("fastForward", sampleFastForward);
-    sampling.set("warmup", sampleWarmup);
-    j.set("sampling", std::move(sampling));
     Json gs = Json::array();
     for (const GridSpec &g : grids)
         gs.push(g.toJson());
@@ -397,7 +384,7 @@ ExperimentSpec::fromJson(const Json &j, ExperimentSpec *out,
     if (!checkKnownKeys(j,
                         {"schema", "name", "title", "render",
                          "warmupInstrs", "measureInstrs", "repeat",
-                         "verify", "sampling", "grids"},
+                         "verify", "grids"},
                         "spec", error))
         return false;
     if (!j.has("schema") || !j["schema"].isString() ||
@@ -424,32 +411,6 @@ ExperimentSpec::fromJson(const Json &j, ExperimentSpec *out,
         if (j["verify"].kind() != Json::Kind::Bool)
             return fail(error, "spec.verify: expected a bool");
         out->verify = j["verify"].asBool();
-    }
-    if (j.has("sampling")) {
-        const Json &s = j["sampling"];
-        if (!s.isObject())
-            return fail(error, "spec.sampling: expected an object");
-        if (!checkKnownKeys(s, {"windows", "fastForward", "warmup"},
-                            "spec.sampling", error))
-            return false;
-        std::uint64_t windows = 0;
-        if (!parseCount(s, "windows", "spec.sampling", &windows,
-                        error) ||
-            !parseCount(s, "fastForward", "spec.sampling",
-                        &out->sampleFastForward, error) ||
-            !parseCount(s, "warmup", "spec.sampling",
-                        &out->sampleWarmup, error))
-            return false;
-        if (windows == 1 || windows > 10000)
-            return fail(error,
-                        "spec.sampling.windows: expected 0 or 2..10000");
-        if (windows == 0 &&
-            (out->sampleFastForward || out->sampleWarmup))
-            return fail(error,
-                        "spec.sampling: fastForward/warmup require "
-                        "windows >= 2 (they are inert without "
-                        "sampling)");
-        out->sampleWindows = unsigned(windows);
     }
     if (j.has("grids")) {
         if (!j["grids"].isArray())

@@ -114,18 +114,6 @@ struct ExperimentSpec
      */
     unsigned repeat = 1;
     /**
-     * Interval sampling (SnapshotPolicy::Mode::Sample) applied to
-     * every point: 0 = full detail (historical behaviour), N > 1 =
-     * the measurement budget is split into N detailed windows
-     * separated by fast-forwarded gaps.  sampleFastForward /
-     * sampleWarmup of 0 derive from the window length (see
-     * SnapshotPolicy).  Sampling parameters are part of the
-     * ResultCache key, so sampled and full runs never alias.
-     */
-    unsigned sampleWindows = 0;
-    std::uint64_t sampleFastForward = 0;
-    std::uint64_t sampleWarmup = 0;
-    /**
      * Ask Session users to route the spec's non-baseline points
      * through the differential checker (Session::verify()) after
      * running it.

@@ -105,7 +105,7 @@ operator-(const CoreStats &a, const CoreStats &b)
     return d;
 }
 
-/** Element-wise accumulate (sampling-window aggregation). */
+/** Element-wise accumulate (window aggregation). */
 inline CoreStats &
 operator+=(CoreStats &a, const CoreStats &b)
 {

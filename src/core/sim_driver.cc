@@ -101,56 +101,15 @@ makeCore(const RunConfig &config, WorkloadStream &stream)
     return std::make_unique<FlywheelCore>(params, stream);
 }
 
-namespace {
-
-/** Resolved interval-sampling schedule. */
-struct SampleSchedule
-{
-    unsigned windows = 1;          ///< 1 = contiguous measurement
-    std::uint64_t window = 0;      ///< detailed instructions per window
-    std::uint64_t lastWindow = 0;  ///< last window absorbs the remainder
-    std::uint64_t gap = 0;         ///< fast-forward between windows
-    std::uint64_t rewarm = 0;      ///< detailed re-warm per window
-};
-
-/** Derive the schedule @p policy implies for @p measure_instrs. */
-SampleSchedule
-deriveSampleSchedule(const SnapshotPolicy &policy,
-                     std::uint64_t measure_instrs)
-{
-    SampleSchedule s;
-    if (policy.mode != SnapshotPolicy::Mode::Sample ||
-        policy.sampleWindows <= 1 ||
-        measure_instrs < policy.sampleWindows) {
-        s.window = measure_instrs;
-        s.lastWindow = measure_instrs;
-        return s;
-    }
-    s.windows = policy.sampleWindows;
-    s.window = measure_instrs / s.windows;
-    s.lastWindow = measure_instrs - s.window * (s.windows - 1);
-    s.gap = policy.sampleFastForward ? policy.sampleFastForward
-                                     : s.window;
-    s.rewarm = policy.sampleWarmup ? policy.sampleWarmup
-                                   : s.window / 4;
-    return s;
-}
-
-} // namespace
-
 /**
  * Phase 1: bring the simulator to its post-warmup state — by
- * simulating, or through the checkpoint store per the policy.
+ * simulating, or through the checkpoint store when there is one.
  */
 bool
 runSimWarmup(const RunConfig &config, CoreBase &core,
              Checkpointer *checkpoints)
 {
-    const SnapshotPolicy &policy = config.snapshot;
-    const bool checkpointed = checkpoints != nullptr &&
-                              policy.mode != SnapshotPolicy::Mode::Off &&
-                              config.warmupInstrs > 0;
-    if (!checkpointed) {
+    if (checkpoints == nullptr || config.warmupInstrs == 0) {
         core.run(config.warmupInstrs);
         return false;
     }
@@ -166,7 +125,6 @@ runSimWarmup(const RunConfig &config, CoreBase &core,
             core.save(*s);
             return std::shared_ptr<const Snapshot>(std::move(s));
         },
-        /*refresh=*/policy.mode == SnapshotPolicy::Mode::Save,
         &created);
     // The creator's core already holds the warm state (an
     // uninterrupted simulation); everyone else restores, which is
@@ -178,55 +136,33 @@ runSimWarmup(const RunConfig &config, CoreBase &core,
 
 void
 forEachMeasureWindow(
-    const RunConfig &config, WorkloadStream &stream,
+    const RunConfig &config, WorkloadStream &,
     std::unique_ptr<CoreBase> &core,
     const std::function<void(CoreBase &, std::uint64_t)> &window)
 {
-    // SMARTS-style interval sampling: N detailed windows, each
-    // preceded (after the first) by a stream-only fast-forward and a
-    // short detailed re-warm on a fresh core.  Only the windows are
-    // measured; a sampled result estimates a workload sampleWindows
-    // times longer than the detailed budget.  A contiguous schedule
-    // is the one-window special case.
-    const SampleSchedule sched =
-        deriveSampleSchedule(config.snapshot, config.measureInstrs);
-    for (unsigned w = 0; w < sched.windows; ++w) {
-        if (w > 0) {
-            stream.skip(sched.gap);
-            core = makeCore(config, stream);
-            core->run(sched.rewarm);
-        }
-        window(*core, w + 1 == sched.windows ? sched.lastWindow
-                                             : sched.window);
-    }
+    window(*core, config.measureInstrs);
 }
 
 namespace {
 
 /**
  * Phase 2: measure.  Returns the measurement-window deltas in
- * @p events and @p stats; may replace @p core (sampling re-warms a
- * fresh core after each fast-forward).
+ * @p events and @p stats.
  */
 void
 runMeasurePhase(const RunConfig &config, WorkloadStream &stream,
                 std::unique_ptr<CoreBase> &core, obs::Tracer *tracer,
                 EnergyEvents *events, CoreStats *stats)
 {
-    *events = EnergyEvents{};
-    *stats = CoreStats{};
+    core->setTracer(tracer);
     forEachMeasureWindow(
         config, stream, core,
         [&](CoreBase &c, std::uint64_t instrs) {
-            // Sampling replaces the core between windows, so the
-            // tracer is (re)attached here rather than once up front;
-            // the inter-window re-warms run untraced by design.
-            c.setTracer(tracer);
             const EnergyEvents before_events = c.events();
             const CoreStats before_stats = c.stats();
             c.run(instrs);
-            *events += c.events() - before_events;
-            *stats += c.stats() - before_stats;
+            *events = c.events() - before_events;
+            *stats = c.stats() - before_stats;
         });
 }
 
@@ -295,16 +231,6 @@ simulationConfig(const RunConfig &config)
 RunResult
 runSim(const RunConfig &config, Checkpointer *checkpoints)
 {
-    // A run with a checkpointing policy but no engine-provided store
-    // gets a transient one over its configured directory, so single
-    // CLI runs still share warmups across processes.
-    if (checkpoints == nullptr &&
-        config.snapshot.mode != SnapshotPolicy::Mode::Off &&
-        !config.snapshot.dir.empty()) {
-        Checkpointer local(config.snapshot.dir);
-        return runSim(config, &local);
-    }
-
     StaticProgram program(config.profile);
     WorkloadStream stream(program);
     std::unique_ptr<CoreBase> core = makeCore(config, stream);

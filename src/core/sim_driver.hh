@@ -34,46 +34,6 @@ enum class CoreKind
 };
 
 /**
- * How a run uses the state snapshot subsystem (src/snapshot/).
- *
- * Save and Reuse affect only wall-clock time: restoring a post-warmup
- * checkpoint is bit-identical to simulating the warmup (enforced by
- * tests/test_snapshot.cc, the save/restore fuzz mode and ultimately
- * the golden figures).  Sample changes what is measured — N detailed
- * windows separated by fast-forwarded gaps — so sampling parameters
- * are part of the ResultCache key while Save/Reuse are not.
- */
-struct SnapshotPolicy
-{
-    enum class Mode
-    {
-        Off,     ///< simulate the warmup every run (historical behaviour)
-        Save,    ///< simulate the warmup and (re)write the checkpoint
-        Reuse,   ///< restore the checkpoint if present, else Save
-        Sample,  ///< interval sampling over the measurement window
-    };
-
-    Mode mode = Mode::Off;
-    /**
-     * On-disk checkpoint store for runs driven without an external
-     * Checkpointer ("" = none).  SweepRunner/Session-driven runs use
-     * the engine's shared store instead (SweepOptions::checkpointDir).
-     */
-    std::string dir;
-
-    // Interval sampling (mode == Sample).  The measurement window is
-    // split into sampleWindows detailed windows; between windows the
-    // workload stream fast-forwards sampleFastForward instructions
-    // without detailed simulation and a fresh core re-warms for
-    // sampleWarmup detailed (unmeasured) instructions.  Zero means
-    // "derive from the window length" (gap = one window, re-warm =
-    // a quarter window).
-    unsigned sampleWindows = 0;
-    std::uint64_t sampleFastForward = 0;
-    std::uint64_t sampleWarmup = 0;
-};
-
-/**
  * Observability attachments for one run.  None of this enters the
  * result-cache key or the serialized RunResult: stats/trace documents
  * describe *how* a run executed, while the cached result is *what* it
@@ -107,7 +67,6 @@ struct RunConfig
     bool frontEndPowerGating = false;
     std::uint64_t warmupInstrs = 100000;
     std::uint64_t measureInstrs = 300000;
-    SnapshotPolicy snapshot;        ///< checkpoint/sampling policy
     ObsConfig obs;                  ///< stats/trace attachments
 };
 
@@ -176,8 +135,9 @@ std::unique_ptr<CoreBase> makeCore(const RunConfig &config,
 /**
  * Phase 1 of runSim, exposed for other drivers (the perfbench cells,
  * which time each phase on its own):
- * bring @p core to its post-warmup state — simulating, or restoring
- * from / publishing to @p checkpoints per config.snapshot.
+ * bring @p core to its post-warmup state.  With a store in
+ * @p checkpoints the warm state is restored from it, or simulated and
+ * published to it; with null the warmup is simulated.
  * @return true if the warm state was restored from a checkpoint.
  */
 bool runSimWarmup(const RunConfig &config, CoreBase &core,
@@ -185,14 +145,11 @@ bool runSimWarmup(const RunConfig &config, CoreBase &core,
 
 /**
  * Phase 2 of runSim, exposed for other drivers (the perfbench cells):
- * execute the measurement schedule config.snapshot implies —
- * contiguous, or N detailed windows with stream fast-forwards and
- * fresh-core re-warms between them — invoking @p window(core, instrs)
- * for each measured window.  The callback runs the core for exactly
- * @p instrs retired instructions and owns any bookkeeping around it
- * (delta capture, wall-clock timing).  One loop serves runSim and the
- * benchmark, so what the benchmark times cannot drift from what
- * runSim executes.
+ * invoke @p window(*core, config.measureInstrs) once.  The callback
+ * runs the core for exactly that many retired instructions and owns
+ * any bookkeeping around it (delta capture, wall-clock timing).
+ * @p stream and the unique_ptr form of @p core are unused; they stay
+ * only because the perfbench cells call this signature.
  */
 void forEachMeasureWindow(
     const RunConfig &config, WorkloadStream &stream,
@@ -221,19 +178,13 @@ RunResult reduceToResult(const RunConfig &config,
  */
 RunConfig simulationConfig(const RunConfig &config);
 
-/**
- * Execute one run.  Honours config.snapshot: with a non-Off mode and
- * a configured store, the warmup phase is restored from / saved to a
- * checkpoint, and Sample mode measures N detailed windows separated
- * by fast-forwards instead of one contiguous window.
- */
+/** Execute one run, simulating its warmup. */
 RunResult runSim(const RunConfig &config);
 
 /**
- * Same, sharing @p checkpoints across runs (the sweep engine's warm
- * checkpoint store; may be null).  The run phases are: warm-up
- * (simulate / restore / save per the policy), measurement (contiguous
- * or sampled), reduction to a RunResult.
+ * Same, reusing warmup checkpoints from @p checkpoints (the sweep
+ * engine's shared store) when it is non-null.  The run phases are:
+ * warm-up (runSimWarmup), measurement, reduction to a RunResult.
  */
 RunResult runSim(const RunConfig &config, Checkpointer *checkpoints);
 

@@ -28,13 +28,9 @@ checkpointKey(const RunConfig &config)
     //  - simulationConfig() drops what the simulator never reads (the
     //    energy model's node and gating flag; for the baseline, the
     //    FE/BE clock plan and the Flywheel-only parameters);
-    //  - the measurement length happens after the warmup;
-    //  - the snapshot policy chooses *whether* to checkpoint, never
-    //    what the warm state is (sampling alters only the measurement
-    //    phase, which follows the warmup).
+    //  - the measurement length happens after the warmup.
     RunConfig canon = simulationConfig(config);
     canon.measureInstrs = 0;
-    canon.snapshot = SnapshotPolicy{};
     return "ckptv=" + std::to_string(Snapshot::kFormatVersion) + ";" +
            configKey(canon);
 }
@@ -169,7 +165,7 @@ Checkpointer::pruneStore(const std::string &dir,
 
 std::shared_ptr<const Snapshot>
 Checkpointer::acquire(const std::string &key, const Factory &make,
-                      bool refresh, bool *created)
+                      bool *created)
 {
     if (created)
         *created = false;
@@ -184,13 +180,13 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
     }
 
     std::lock_guard<std::mutex> key_lock(entry->mutex);
-    if (entry->snap && !refresh) {
+    if (entry->snap) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++memoryHits_;
         return entry->snap;
     }
 
-    if (!dir_.empty() && !refresh) {
+    if (!dir_.empty()) {
         const std::string path = pathFor(key);
         Snapshot snap;
         std::string error;
@@ -203,7 +199,7 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
                 diskBytesRead_ += fileBytes(path);
                 return entry->snap;
             }
-            // A hash-collision name clash or a store refreshed by an
+            // A hash-collision name clash or a file written by an
             // incompatible build: never restore the wrong state.
             FW_WARN("checkpoint %s holds a different key; recomputing",
                     path.c_str());
@@ -217,15 +213,12 @@ Checkpointer::acquire(const std::string &key, const Factory &make,
     FW_ASSERT(snap != nullptr, "checkpoint factory returned nothing");
     FW_ASSERT(snap->key() == key,
               "checkpoint factory produced a snapshot for another key");
-    const bool replaced = entry->snap != nullptr;
     entry->snap = snap;
     if (created)
         *created = true;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++computes_;
-        if (replaced)
-            ++evictions_;
     }
 
     if (!dir_.empty())

@@ -67,7 +67,7 @@ class KeyBuilder
  * does; ResultCache::kFormatVersion versions the cache file on its
  * own.
  */
-constexpr unsigned kConfigKeyVersion = 2;
+constexpr unsigned kConfigKeyVersion = 3;
 
 } // namespace
 
@@ -104,20 +104,6 @@ configKey(const RunConfig &c)
         .add("gating", c.frontEndPowerGating)
         .add("warmup", c.warmupInstrs)
         .add("measure", c.measureInstrs);
-
-    // Snapshot policy: interval sampling changes what is measured, so
-    // a sampled run must never satisfy a full-run lookup (or another
-    // sampling geometry's).  Save/Reuse checkpointing is deliberately
-    // NOT part of the key — restoring a warmup checkpoint is
-    // bit-identical to simulating it, so both populate the same entry.
-    const bool sampled =
-        c.snapshot.mode == SnapshotPolicy::Mode::Sample;
-    k.add("sampled", sampled)
-        .add("sampleW", sampled ? c.snapshot.sampleWindows : 0u)
-        .add("sampleFf",
-             sampled ? c.snapshot.sampleFastForward : std::uint64_t(0))
-        .add("sampleWu",
-             sampled ? c.snapshot.sampleWarmup : std::uint64_t(0));
 
     const CoreParams &cp = c.params;
     k.add("fetchW", cp.fetchWidth)
@@ -214,11 +200,8 @@ ResultCache::lookup(const std::string &key, RunResult *out) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++misses_;
+    if (it == entries_.end())
         return false;
-    }
-    ++hits_;
     if (out)
         *out = it->second;
     return true;

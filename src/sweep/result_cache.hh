@@ -3,7 +3,7 @@
  * Content-addressed cache of completed simulations.  A RunConfig is
  * reduced to a canonical key string naming every field that can
  * influence what the simulator measures (workload profile knobs, core
- * parameters, clocks, run lengths, sampling); the cache maps that key
+ * parameters, clocks, run lengths); the cache maps that key
  * to the finished RunResult.  The key is taken over simulationConfig(),
  * so it leaves out the energy model's tech node and gating flag and
  * the clock plan the baseline core never reads: a hit re-reduces the
@@ -70,8 +70,6 @@ class ResultCache
     bool save() const;
 
     std::size_t size() const;
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
     /** Times the on-disk load retried after a parse failure. */
     std::uint64_t loadRetries() const { return loadRetries_; }
     const std::string &path() const { return path_; }
@@ -79,8 +77,9 @@ class ResultCache
     /** On-disk format version (bump when serialization changes).
      *  v2: keys gained the snapshot-sampling fields.
      *  v3: keys are simulationKey()s; an entry's energy is re-reduced
-     *  on every hit. */
-    static constexpr int kFormatVersion = 3;
+     *  on every hit.
+     *  v4: keys lost the snapshot-sampling fields. */
+    static constexpr int kFormatVersion = 4;
 
   private:
     enum class LoadStatus { Ok, Missing, ParseError, BadVersion,
@@ -92,8 +91,6 @@ class ResultCache
     std::string path_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, RunResult> entries_;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
     std::uint64_t loadRetries_ = 0;
 };
 

@@ -71,7 +71,6 @@ SweepAxes::expand() const
                             makePoint(bench, kind, clock, node, gate);
                         pt.config.warmupInstrs = warmupInstrs;
                         pt.config.measureInstrs = measureInstrs;
-                        pt.config.snapshot = snapshot;
                         points.push_back(std::move(pt));
                     }
     return points;
@@ -247,12 +246,8 @@ SweepRunner::runOne(const RunConfig &config, bool *from_cache)
         // gating flag or baseline clock plan: reduce it for this one.
         return reduceFor(cfg, result);
     }
-    // A runner with a checkpoint store checkpoints every cell's
-    // warmup by default; an explicit per-config policy wins.  The
-    // cache key is unchanged (Save/Reuse are result-neutral).
-    if (checkpointer_ &&
-        cfg.snapshot.mode == SnapshotPolicy::Mode::Off)
-        cfg.snapshot.mode = SnapshotPolicy::Mode::Reuse;
+    // With a store, every cell's warmup is checkpointed; restoring is
+    // bit-identical to simulating, so the cache key ignores it.
     result = runSim(cfg, checkpointer_.get());
     // Entries hold the simulation's own reduction, so the cache file
     // depends only on its keys, not on which point ran first.

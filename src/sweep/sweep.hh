@@ -88,8 +88,6 @@ struct SweepAxes
     std::vector<bool> gating{false};
     std::uint64_t warmupInstrs;    ///< defaults honour FLYWHEEL_* env vars
     std::uint64_t measureInstrs;
-    /** Snapshot/sampling policy stamped onto every point. */
-    SnapshotPolicy snapshot;
 
     SweepAxes();
 
@@ -239,9 +237,9 @@ class SweepRunner
     /**
      * Run one config — the single place that knows how a grid cell
      * runs: observability stamping, result-cache lookup (skipped for
-     * observed runs) with the hit reduced for @p config, the
-     * checkpointer's default Reuse policy, runSim(), and the
-     * store-back.  run() routes every thread-pool task through this.
+     * observed runs) with the hit reduced for @p config, runSim()
+     * over the runner's checkpoint store, and the store-back.  run()
+     * routes every thread-pool task through this.
      */
     RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 

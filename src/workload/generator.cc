@@ -108,13 +108,6 @@ WorkloadStream::produce()
 }
 
 void
-WorkloadStream::skip(std::uint64_t n)
-{
-    for (std::uint64_t i = 0; i < n; ++i)
-        next();
-}
-
-void
 WorkloadStream::save(BinWriter &w) const
 {
     // Program identity guard: a snapshot restored over a different

@@ -71,13 +71,6 @@ class WorkloadStream
     std::uint64_t consumed() const { return consumed_; }
 
     /**
-     * Fast-forward: consume @p n instructions without simulating them
-     * (interval sampling's gap between detailed windows).  The stream
-     * advances exactly as if next() had been called n times.
-     */
-    void skip(std::uint64_t n);
-
-    /**
      * Serialize the complete dynamic stream state (RNG, control-flow
      * cursors, pending lookahead) into @p w.
      */

@@ -193,14 +193,12 @@ TEST(ExperimentSpec, RejectsMalformedDocuments)
     expectRejected(head + ", \"warmupInstrs\": -5}",
                    "non-negative integer");
 
-    // Sampling block: degenerate window counts, unknown members, and
-    // parameters that would be silently inert without windows.
-    expectRejected(head + ", \"sampling\": {\"windows\": 1}}",
-                   "0 or 2..10000");
-    expectRejected(head + ", \"sampling\": {\"slices\": 4}}",
-                   "unknown field 'slices'");
-    expectRejected(head + ", \"sampling\": {\"fastForward\": 1000}}",
-                   "require windows >= 2");
+    // An old spec's all-zero sampling block is an unknown key, not
+    // silently ignored.
+    expectRejected(head +
+                       ", \"sampling\": {\"windows\": 0, "
+                       "\"fastForward\": 0, \"warmup\": 0}}",
+                   "unknown field 'sampling'");
     expectRejected(head + ", \"measureInstrs\": 1.5}",
                    "non-negative integer");
     expectRejected(head + ", \"verify\": \"yes\"}", "expected a bool");

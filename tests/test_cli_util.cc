@@ -170,26 +170,23 @@ TEST(UnknownFlagDeathTest, RejectExitsWithUsageStatus)
 TEST(SnapshotFlags, ParsesTheSharedFlagSet)
 {
     const char *argv_c[] = {"prog", "--checkpoint-dir", "/tmp/ck",
-                            "--sample", "8", "--no-checkpoints"};
+                            "--no-checkpoints"};
     char **argv = const_cast<char **>(argv_c);
 
     cli::SnapshotFlags flags;
     flags.dir.clear();  // isolate from FLYWHEEL_CHECKPOINTS
     int i = 1;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
+    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
     EXPECT_EQ(flags.dir, "/tmp/ck");
     EXPECT_EQ(flags.checkpointDir(), "/tmp/ck");
     ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
-    EXPECT_EQ(flags.sampleWindows, 8u);
-    ++i;
-    EXPECT_TRUE(flags.tryParse(argv[i], 6, argv, &i));
+    EXPECT_TRUE(flags.tryParse(argv[i], 4, argv, &i));
     // --no-checkpoints wins over any configured directory.
     EXPECT_EQ(flags.checkpointDir(), "");
 
     int j = 0;
     cli::SnapshotFlags other;
-    EXPECT_FALSE(other.tryParse("--jobs", 6, argv, &j));
+    EXPECT_FALSE(other.tryParse("--jobs", 4, argv, &j));
     EXPECT_EQ(j, 0);
 }
 
@@ -211,14 +208,4 @@ TEST(SnapshotFlags, ParsesCapFlagAndAppliesStoreKnobs)
     flags.apply(&opts);
     EXPECT_EQ(opts.checkpointDir, "/tmp/store");
     EXPECT_EQ(opts.checkpointCapBytes, 256ull << 20);
-}
-
-TEST(SnapshotFlagsDeathTest, RejectsDegenerateSampleCounts)
-{
-    const char *argv_c[] = {"prog", "--sample", "1"};
-    char **argv = const_cast<char **>(argv_c);
-    cli::SnapshotFlags flags;
-    int i = 1;
-    EXPECT_EXIT(flags.tryParse("--sample", 3, argv, &i),
-                ::testing::ExitedWithCode(1), "--sample");
 }

@@ -6,12 +6,12 @@
  * — file-level hardening (corrupt / truncated / version-mismatched
  * snapshots rejected with clear errors), the Checkpointer's
  * compute-once and disk-reuse semantics, checkpoint-key
- * canonicalization, the ResultCache-key sampling regression, interval
- * sampling, and the CoreStats window-delta operators.
+ * canonicalization, and the CoreStats window-delta operators.
  */
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <utime.h>
 
@@ -121,29 +121,48 @@ TEST(SnapshotRoundTrip, MidRunSnapshotContinuesBitIdentically)
     EXPECT_EQ(coreStateDump(*core_a), coreStateDump(*core_b));
 }
 
+/** Names in @p dir other than "." and ".." (0 if it is missing). */
+std::size_t
+dirEntries(const std::string &dir)
+{
+    ::DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return 0;
+    std::size_t n = 0;
+    while (const struct ::dirent *ent = ::readdir(d))
+        if (std::strcmp(ent->d_name, ".") != 0 &&
+            std::strcmp(ent->d_name, "..") != 0)
+            ++n;
+    ::closedir(d);
+    return n;
+}
+
 TEST(SnapshotRoundTrip, RunSimRestoresCheckpointsBitIdentically)
 {
     const std::string dir = ::testing::TempDir() + "fw_snap_ckpt";
-
-    RunConfig config = smallConfig("gzip", CoreKind::Flywheel);
-    config.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-    config.snapshot.dir = dir;
+    const RunConfig config = smallConfig("gzip", CoreKind::Flywheel);
 
     // Start from an empty store.
-    Checkpointer probe(dir);
-    const std::string path = probe.pathFor(checkpointKey(config));
-    std::remove(path.c_str());
+    Checkpointer::pruneStore(dir, 0);
+    ASSERT_EQ(dirEntries(dir), 0u) << dir;
 
-    RunConfig plain = config;
-    plain.snapshot = SnapshotPolicy{};
-    const RunResult reference = runSim(plain);
+    // A run given no store simulates its warmup and writes nothing.
+    const RunResult reference = runSim(config);
+    EXPECT_FALSE(reference.telemetry.warmupRestored);
+    EXPECT_EQ(dirEntries(dir), 0u) << dir;
 
-    // First checkpointed run simulates the warmup and saves...
-    const RunResult cold = runSim(config);
-    std::ifstream saved(path);
-    EXPECT_TRUE(saved.good()) << path;
-    // ...the second restores from disk in a fresh Checkpointer.
-    const RunResult warm = runSim(config);
+    // The first store is cold: it simulates the warmup and saves...
+    Checkpointer cold_store(dir);
+    const RunResult cold = runSim(config, &cold_store);
+    EXPECT_EQ(cold_store.computes(), 1u);
+    EXPECT_FALSE(cold.telemetry.warmupRestored);
+    std::ifstream saved(cold_store.pathFor(checkpointKey(config)));
+    EXPECT_TRUE(saved.good()) << dir;
+    // ...and a second store (a new process image) restores from disk.
+    Checkpointer warm_store(dir);
+    const RunResult warm = runSim(config, &warm_store);
+    EXPECT_EQ(warm_store.diskHits(), 1u);
+    EXPECT_TRUE(warm.telemetry.warmupRestored);
 
     EXPECT_EQ(toJson(reference).dump(), toJson(cold).dump());
     EXPECT_EQ(toJson(reference).dump(), toJson(warm).dump());
@@ -334,11 +353,11 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
     };
 
     bool created = false;
-    auto first = store.acquire(key, factory, false, &created);
+    auto first = store.acquire(key, factory, &created);
     EXPECT_TRUE(created);
     EXPECT_EQ(factory_runs, 1u);
 
-    auto second = store.acquire(key, factory, false, &created);
+    auto second = store.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_EQ(first.get(), second.get());
@@ -346,17 +365,12 @@ TEST(CheckpointerTest, ComputesOncePerKeyAndReloadsFromDisk)
 
     // A fresh store instance (new process image) loads from disk.
     Checkpointer reopened(dir);
-    auto third = reopened.acquire(key, factory, false, &created);
+    auto third = reopened.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_EQ(reopened.diskHits(), 1u);
     BinReader payload = third->section("payload");
     EXPECT_EQ(payload.u64(), 42u);
-
-    // refresh recomputes and overwrites even though both tiers hit.
-    auto fourth = reopened.acquire(key, factory, true, &created);
-    EXPECT_TRUE(created);
-    EXPECT_EQ(factory_runs, 2u);
 
     // Memory-only stores never touch the filesystem.
     Checkpointer memory(Checkpointer::kMemoryOnly);
@@ -391,7 +405,7 @@ TEST(CheckpointerTest, CreatesNestedStoreDirectories)
 
     Checkpointer reopened(dir);
     bool created = true;
-    reopened.acquire(key, factory, false, &created);
+    reopened.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(reopened.diskHits(), 1u);
 }
@@ -494,13 +508,13 @@ TEST(CheckpointerTest, PersistFailuresAreCountedNotFatal)
     };
 
     bool created = false;
-    auto snap = store.acquire(key, factory, false, &created);
+    auto snap = store.acquire(key, factory, &created);
     EXPECT_TRUE(created);
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(store.persistFailures(), 1u);
 
     // The memory tier still works despite the dead disk tier.
-    store.acquire(key, factory, false, &created);
+    store.acquire(key, factory, &created);
     EXPECT_FALSE(created);
     EXPECT_EQ(factory_runs, 1u);
     EXPECT_NE(store.summaryLine().find("persist failure"),
@@ -537,12 +551,6 @@ TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
     node.measureInstrs = 999999;
     EXPECT_EQ(checkpointKey(node), key);
 
-    // The snapshot policy itself never splits checkpoints.
-    RunConfig sampled = base;
-    sampled.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    sampled.snapshot.sampleWindows = 8;
-    EXPECT_EQ(checkpointKey(sampled), key);
-
     // Warmup length, workload and kind all do.
     RunConfig warm = base;
     warm.warmupInstrs += 1;
@@ -565,37 +573,6 @@ TEST(CheckpointKeyTest, CanonicalizesResultNeutralAxes)
     RunConfig clocked_b = base_b;
     clocked_b.params = clockedParams(0.5, 0.5);
     EXPECT_EQ(checkpointKey(clocked_b), checkpointKey(base_b));
-}
-
-TEST(ResultCacheKey, SampledRunsNeverAliasFullRuns)
-{
-    const RunConfig full = smallConfig("gcc", CoreKind::Flywheel);
-
-    RunConfig sampled = full;
-    sampled.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    sampled.snapshot.sampleWindows = 4;
-    EXPECT_NE(configKey(sampled), configKey(full));
-
-    // Different sampling geometries never alias each other either.
-    RunConfig other = sampled;
-    other.snapshot.sampleWindows = 8;
-    EXPECT_NE(configKey(other), configKey(sampled));
-    RunConfig gap = sampled;
-    gap.snapshot.sampleFastForward = 5000;
-    EXPECT_NE(configKey(gap), configKey(sampled));
-    RunConfig rewarm = sampled;
-    rewarm.snapshot.sampleWarmup = 1000;
-    EXPECT_NE(configKey(rewarm), configKey(sampled));
-
-    // Save/Reuse checkpointing is bit-identical to a plain run, so
-    // both must populate (and hit) the same cache entry.
-    RunConfig reuse = full;
-    reuse.snapshot.mode = SnapshotPolicy::Mode::Reuse;
-    reuse.snapshot.dir = "/tmp/anywhere";
-    EXPECT_EQ(configKey(reuse), configKey(full));
-    RunConfig save = full;
-    save.snapshot.mode = SnapshotPolicy::Mode::Save;
-    EXPECT_EQ(configKey(save), configKey(full));
 }
 
 TEST(CoreStatsDelta, OperatorsCoverEveryField)
@@ -621,32 +598,6 @@ TEST(CoreStatsDelta, OperatorsCoverEveryField)
 
     const CoreStats self = a - a;
     EXPECT_EQ(std::memcmp(&self, &zero, sizeof(zero)), 0);
-}
-
-TEST(IntervalSampling, MeasuresTheBudgetDeterministically)
-{
-    RunConfig config = smallConfig("gcc", CoreKind::Flywheel);
-    config.snapshot.mode = SnapshotPolicy::Mode::Sample;
-    config.snapshot.sampleWindows = 4;
-
-    const RunResult a = runSim(config);
-    const RunResult b = runSim(config);
-    EXPECT_EQ(toJson(a).dump(), toJson(b).dump());
-
-    // The detailed budget is fully measured across the windows (each
-    // window may overshoot by up to a retire group).
-    EXPECT_GE(a.instructions, config.measureInstrs);
-    EXPECT_LT(a.instructions,
-              config.measureInstrs +
-                  4 * config.snapshot.sampleWindows);
-    EXPECT_GT(a.timePs, 0u);
-
-    // And the sampled estimate is a different measurement than the
-    // contiguous run (the stream advanced past the gaps).
-    RunConfig full = config;
-    full.snapshot = SnapshotPolicy{};
-    const RunResult contiguous = runSim(full);
-    EXPECT_NE(toJson(a).dump(), toJson(contiguous).dump());
 }
 
 TEST(SweepCheckpointSharing, CellsShareOneWarmupAndStayBitIdentical)

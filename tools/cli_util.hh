@@ -231,14 +231,12 @@ rejectUnknownFlag(const char *argv0, const std::string &flag,
  *   --no-checkpoints        disable checkpoint reuse entirely
  *   --checkpoint-cap-mb N   cap the on-disk store, LRU-pruned
  *                           (default: FLYWHEEL_CHECKPOINT_CAP_MB)
- *   --sample N              interval sampling with N detailed windows
  */
 struct SnapshotFlags
 {
     std::string dir;
     bool disabled = false;
     std::uint64_t capBytes = 0;
-    unsigned sampleWindows = 0;
 
     SnapshotFlags()
     {
@@ -274,15 +272,6 @@ struct SnapshotFlags
                          "megabyte count, got '%s'", arg.c_str());
             return true;
         }
-        if (flag == "--sample") {
-            std::uint64_t n = parseU64(
-                requireValue(argc, argv, i, flag), "--sample");
-            if (n == 1 || n > 10000)
-                FW_FATAL("--sample: expected 0 (full detail) or "
-                         "2..10000 windows");
-            sampleWindows = unsigned(n);
-            return true;
-        }
         return false;
     }
 
@@ -307,7 +296,7 @@ struct SnapshotFlags
     usageText()
     {
         return
-            "checkpoints & sampling:\n"
+            "checkpoints:\n"
             "  --checkpoint-dir DIR  reuse warmup checkpoints from "
             "DIR\n"
             "                        (default: FLYWHEEL_CHECKPOINTS)\n"
@@ -317,9 +306,7 @@ struct SnapshotFlags
             "                        oldest checkpoints first "
             "(default:\n"
             "                        FLYWHEEL_CHECKPOINT_CAP_MB; 0 = "
-            "uncapped)\n"
-            "  --sample N            interval sampling: N detailed "
-            "windows\n";
+            "uncapped)\n";
     }
 };
 

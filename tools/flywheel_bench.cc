@@ -141,11 +141,9 @@ struct MergedExport
  * @return false on verification failure.
  */
 bool
-runSpec(Session &session, ExperimentSpec spec, unsigned sample_override,
+runSpec(Session &session, const ExperimentSpec &spec,
         MergedExport *merged)
 {
-    if (sample_override)
-        spec.sampleWindows = sample_override;
     SweepTable table = session.run(spec);
 
     if (!spec.render.empty()) {
@@ -266,10 +264,9 @@ main(int argc, char **argv)
     const bool run_mode =
         run_all || !figure_names.empty() || !spec_paths.empty();
     if (!run_mode && (!json_path.empty() || !csv_path.empty() ||
-                      progress || snapshot.sampleWindows ||
-                      obs_flags.active())) {
+                      progress || obs_flags.active())) {
         std::fprintf(stderr,
-                     "--json/--csv/--progress/--sample/--stats/--trace "
+                     "--json/--csv/--progress/--stats/--trace "
                      "only apply to a --figure/--all/--spec run\n");
         return 2;
     }
@@ -391,8 +388,7 @@ main(int argc, char **argv)
         if (!first)
             std::printf("\n");
         first = false;
-        ok = runSpec(session, def->spec, snapshot.sampleWindows,
-                     need_merged ? &merged : nullptr) &&
+        ok = runSpec(session, def->spec, need_merged ? &merged : nullptr) &&
              ok;
     }
     for (const std::string &path : spec_paths) {
@@ -405,8 +401,7 @@ main(int argc, char **argv)
         if (!first)
             std::printf("\n");
         first = false;
-        ok = runSpec(session, spec, snapshot.sampleWindows,
-                     need_merged ? &merged : nullptr) &&
+        ok = runSpec(session, spec, need_merged ? &merged : nullptr) &&
              ok;
     }
 

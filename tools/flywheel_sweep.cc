@@ -168,10 +168,6 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     snapshot.apply(&opts);
-    if (snapshot.sampleWindows) {
-        axes.snapshot.mode = SnapshotPolicy::Mode::Sample;
-        axes.snapshot.sampleWindows = snapshot.sampleWindows;
-    }
 
     std::vector<SweepPoint> points = axes.expand();
     if (!quiet)
@@ -187,10 +183,9 @@ main(int argc, char **argv)
     SweepTable table = runner.run(points);
 
     if (!quiet && !opts.cachePath.empty())
-        std::fprintf(stderr, "cache: %llu hits, %llu misses (%s)\n",
-                     (unsigned long long)runner.cache().hits(),
-                     (unsigned long long)runner.cache().misses(),
-                     opts.cachePath.c_str());
+        std::fprintf(stderr, "cache: %zu of %zu cells cached (%s)\n",
+                     table.telemetry().cacheHits,
+                     table.telemetry().cells, opts.cachePath.c_str());
     if (telemetry) {
         const SweepTelemetry &t = table.telemetry();
         std::fprintf(stderr,
