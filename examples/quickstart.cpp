@@ -6,7 +6,7 @@
  * residency, energy breakdown).
  *
  * Uses the Experiment API: the two runs are one declarative
- * ExperimentSpec executed by a Session (worker pool + result cache),
+ * ExperimentSpec executed by a Session (worker pool + run memo),
  * and the report pulls its rows from the finished table by identity.
  *
  *   ./quickstart [benchmark]       (default: gzip)
@@ -44,7 +44,7 @@ main(int argc, char **argv)
     flywheel.clocks = {{0.5, 0.5}};
     spec.grids.push_back(flywheel);
 
-    Session session(SessionOptions::fromEnv());
+    Session session;
     SweepTable table = session.run(spec);
     TableIndex ix(table);
 

@@ -109,7 +109,7 @@ struct ExperimentSpec
     std::uint64_t measureInstrs = 0;
     /**
      * Times each point is executed by Session::run(); repeats bypass
-     * the result cache and must reproduce the first run bit-exactly
+     * the runner's memo and must reproduce the first run bit-exactly
      * (a determinism tripwire for long campaigns).
      */
     unsigned repeat = 1;

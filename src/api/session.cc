@@ -1,34 +1,12 @@
 #include "api/session.hh"
 
-#include <cstdlib>
+#include <cstdio>
 #include <set>
 
 #include "common/log.hh"
 #include "core/report.hh"
-#include "snapshot/checkpointer.hh"
-#include "sweep/result_cache.hh"
 
 namespace flywheel {
-
-SessionOptions
-SessionOptions::fromEnv()
-{
-    SessionOptions opts;
-    if (const char *cache = std::getenv("FLYWHEEL_CACHE"))
-        opts.cachePath = cache;
-    if (const char *ckpt = std::getenv("FLYWHEEL_CHECKPOINTS"))
-        opts.checkpointDir = ckpt;
-    if (const char *cap = std::getenv("FLYWHEEL_CHECKPOINT_CAP_MB")) {
-        std::uint64_t bytes = 0;
-        if (Checkpointer::parseCapMegabytes(cap, &bytes))
-            opts.checkpointCapBytes = bytes;
-        else
-            FW_WARN("ignoring FLYWHEEL_CHECKPOINT_CAP_MB='%s' (want "
-                    "a decimal megabyte count); store stays uncapped",
-                    cap);
-    }
-    return opts;
-}
 
 bool
 VerifyReport::ok() const
@@ -76,7 +54,6 @@ Session::Session(SessionOptions options)
     : runner_([&options] {
           SweepOptions sweep;
           sweep.jobs = options.jobs;
-          sweep.cachePath = options.cachePath;
           sweep.checkpointDir = options.checkpointDir;
           sweep.checkpointCapBytes = options.checkpointCapBytes;
           sweep.progress = options.progress;
@@ -92,7 +69,7 @@ Session::run(const ExperimentSpec &spec)
     SweepTable table = runner_.run(points);
 
     for (unsigned rep = 1; rep < spec.repeat; ++rep) {
-        // Repeats bypass the cache on purpose: their whole point is
+        // Repeats bypass the memo on purpose: their whole point is
         // to prove a fresh simulation reproduces the recorded result.
         runner_.pool().parallelFor(points.size(), [&](std::size_t i) {
             RunResult again = runSim(points[i].config);
@@ -105,12 +82,6 @@ Session::run(const ExperimentSpec &spec)
         });
     }
     return table;
-}
-
-RunResult
-Session::runOne(const RunConfig &config, bool *from_cache)
-{
-    return runner_.runOne(config, from_cache);
 }
 
 VerifyReport

@@ -1,11 +1,12 @@
 /**
  * @file
  * Session — the one front door to the simulator.  A Session owns a
- * SweepRunner (worker pool + content-hash result cache) and executes
- * declarative ExperimentSpecs: run() simulates a spec's grid (with
- * optional bit-exact repeat checking), verify() routes its
- * non-baseline points through the differential checker, and the
- * golden helpers wrap the figure-regression snapshots.  Benches,
+ * SweepRunner (worker pool + in-memory memo of finished simulations,
+ * so grids of one Session share runs) and executes declarative
+ * ExperimentSpecs: run() simulates a spec's grid (with optional
+ * bit-exact repeat checking), verify() routes its non-baseline
+ * points through the differential checker, and the golden helpers
+ * wrap the figure-regression snapshots.  Benches,
  * tools and examples talk to this facade instead of wiring
  * runSim()/SweepRunner/golden.* individually.
  */
@@ -28,8 +29,6 @@ struct SessionOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /** Persist the result cache at this path (empty = memory only). */
-    std::string cachePath;
     /**
      * Warm checkpoint store shared by every run of the session (see
      * SweepOptions::checkpointDir): "" disables checkpointing, a
@@ -44,17 +43,9 @@ struct SessionOptions
     /**
      * Observability attachments stamped onto every run of the session
      * (see SweepOptions::obs): stats collection and/or pipeline
-     * tracing.  Observed runs bypass the result-cache lookup.
+     * tracing.  Observed runs always simulate.
      */
     ObsConfig obs;
-
-    /**
-     * Standard environment wiring: cachePath from FLYWHEEL_CACHE,
-     * checkpointDir from FLYWHEEL_CHECKPOINTS and checkpointCapBytes
-     * from FLYWHEEL_CHECKPOINT_CAP_MB if set (jobs stay 0, i.e.
-     * FLYWHEEL_JOBS / hardware concurrency).
-     */
-    static SessionOptions fromEnv();
 };
 
 /** Outcome of Session::verify() over one spec. */
@@ -83,14 +74,11 @@ class Session
     /**
      * Execute every point of @p spec on the worker pool; rows come
      * back in expansion order.  When spec.repeat > 1, each point is
-     * re-simulated repeat-1 more times bypassing the cache, and any
+     * re-simulated repeat-1 more times bypassing the memo, and any
      * deviation from the first result is a fatal error (simulation
      * nondeterminism must never pass silently).
      */
     SweepTable run(const ExperimentSpec &spec);
-
-    /** Run one ad-hoc config through the session cache. */
-    RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
 
     /**
      * Differential verification of @p spec: every distinct
@@ -110,7 +98,6 @@ class Session
                        const GoldenOptions &opts = {});
 
     SweepRunner &runner() { return runner_; }
-    ResultCache &cache() { return runner_.cache(); }
     unsigned jobs() const { return runner_.jobs(); }
 
   private:

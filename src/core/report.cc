@@ -141,73 +141,4 @@ toJson(const RunResult &r)
     return j;
 }
 
-EnergyBreakdown
-energyBreakdownFromJson(const Json &j)
-{
-    EnergyBreakdown e;
-#define X(f) e.f = j[#f].asDouble();
-    FW_ENERGY_BREAKDOWN_FIELDS(X)
-#undef X
-    return e;
-}
-
-CoreStats
-coreStatsFromJson(const Json &j)
-{
-    CoreStats s;
-#define X(f) s.f = j[#f].asU64();
-    FW_CORE_STATS_FIELDS(X)
-#undef X
-    return s;
-}
-
-EnergyEvents
-energyEventsFromJson(const Json &j)
-{
-    EnergyEvents e;
-#define X(f) e.f = j[#f].asU64();
-    FW_ENERGY_EVENTS_FIELDS(X)
-#undef X
-    return e;
-}
-
-bool
-runResultJsonComplete(const Json &j)
-{
-    for (const char *key : {"instructions", "timePs", "ipc",
-                            "ecResidency", "mispredictRate",
-                            "averageWatts"})
-        if (!j.has(key))
-            return false;
-    if (!j["stats"].isObject() || !j["events"].isObject() ||
-        !j["energy"].isObject())
-        return false;
-#define X(f) if (!j["energy"].has(#f)) return false;
-    FW_ENERGY_BREAKDOWN_FIELDS(X)
-#undef X
-#define X(f) if (!j["stats"].has(#f)) return false;
-    FW_CORE_STATS_FIELDS(X)
-#undef X
-#define X(f) if (!j["events"].has(#f)) return false;
-    FW_ENERGY_EVENTS_FIELDS(X)
-#undef X
-    return true;
-}
-
-RunResult
-runResultFromJson(const Json &j)
-{
-    RunResult r;
-    r.instructions = j["instructions"].asU64();
-    r.timePs = Tick(j["timePs"].asU64());
-    r.ipc = j["ipc"].asDouble();
-    r.ecResidency = j["ecResidency"].asDouble();
-    r.mispredictRate = j["mispredictRate"].asDouble();
-    r.averageWatts = j["averageWatts"].asDouble();
-    r.stats = coreStatsFromJson(j["stats"]);
-    r.events = energyEventsFromJson(j["events"]);
-    r.energy = energyBreakdownFromJson(j["energy"]);
-    return r;
-}
-
 } // namespace flywheel

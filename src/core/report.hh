@@ -28,28 +28,16 @@ void writeComparison(std::ostream &os, const std::string &title_a,
                      const RunResult &a, const std::string &title_b,
                      const RunResult &b);
 
-// ---- structured serialization (sweep export / result cache) ----
+// ---- structured serialization (sweep export) ----
 //
-// Field names are part of the on-disk format: the sweep result cache
-// and exported result files are read back by fromJson, so renames
-// require a cache-format version bump in src/sweep/result_cache.cc.
+// Field names are part of the exported sweep format
+// (SweepTable::writeJson): renaming one changes every exported
+// document.
 
 Json toJson(const EnergyBreakdown &e);
 Json toJson(const CoreStats &s);
 Json toJson(const EnergyEvents &e);
 Json toJson(const RunResult &r);
-
-EnergyBreakdown energyBreakdownFromJson(const Json &j);
-CoreStats coreStatsFromJson(const Json &j);
-EnergyEvents energyEventsFromJson(const Json &j);
-RunResult runResultFromJson(const Json &j);
-
-/**
- * True if @p j carries every field runResultFromJson reads.  Lets
- * readers of persisted results (the sweep cache) reject entries
- * written by an older field set instead of silently zero-filling.
- */
-bool runResultJsonComplete(const Json &j);
 
 } // namespace flywheel
 

@@ -35,8 +35,8 @@ enum class CoreKind
 
 /**
  * Observability attachments for one run.  None of this enters the
- * result-cache key or the serialized RunResult: stats/trace documents
- * describe *how* a run executed, while the cached result is *what* it
+ * configKey() or the serialized RunResult: stats/trace documents
+ * describe *how* a run executed, while the result is *what* it
  * computed — the golden figures and the sweep determinism contract
  * stay byte-identical whether or not observation is on.
  */

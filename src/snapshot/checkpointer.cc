@@ -14,9 +14,9 @@
 
 #include "common/atomic_file.hh"
 #include "common/log.hh"
+#include "core/config_key.hh"
 #include "core/sim_driver.hh"
 #include "obs/stats_registry.hh"
-#include "sweep/result_cache.hh"
 
 namespace flywheel {
 

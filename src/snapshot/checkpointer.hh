@@ -13,8 +13,10 @@
  *    with the same key concurrently, exactly one worker simulates the
  *    warmup and every other worker blocks briefly and then restores;
  *  - an optional on-disk store (one content-hashed snapshot file per
- *    key under a directory, alongside the ResultCache in spirit), so
- *    later processes reuse checkpoints across invocations.
+ *    key under a directory), so later processes reuse checkpoints
+ *    across invocations.  Keys name the configuration, not the
+ *    build: a store is valid only for the simulator that wrote it, so
+ *    empty it after changing the simulator.
  *
  * Keys canonicalize away everything that provably cannot influence
  * warm state: what simulationConfig() drops (the energy-model tech

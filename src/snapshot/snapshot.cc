@@ -29,7 +29,8 @@ hashHex(std::uint64_t h)
 }
 
 // Incremental FNV-1a so the content hash folds over section pieces
-// without concatenating them (same constants as sweep::fnv1a64).
+// without concatenating them (same constants as fnv1a64() in
+// core/config_key.hh).
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 

@@ -17,8 +17,7 @@
  * content hash + key + a length-prefixed section table with
  * per-section LZSS compression.  Truncated, corrupted or
  * version-mismatched input is rejected with a clear error instead of
- * restoring garbage (the same hardening discipline as the sweep
- * ResultCache).
+ * restoring garbage.
  *
  * Restoring a snapshot into a freshly constructed core over an
  * identically configured program/stream and then simulating must be

@@ -195,7 +195,7 @@ SweepTable::writeCsv(std::ostream &os) const
 }
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : options_(options), cache_(options.cachePath), pool_(options.jobs)
+    : options_(options), pool_(options.jobs)
 {
     if (!options_.checkpointDir.empty()) {
         Checkpointer::Options store;
@@ -227,36 +227,6 @@ reduceFor(const RunConfig &config, const RunResult &measured)
 
 } // namespace
 
-RunResult
-SweepRunner::runOne(const RunConfig &config, bool *from_cache)
-{
-    RunConfig cfg = config;
-    if (!cfg.obs.active() && options_.obs.active())
-        cfg.obs = options_.obs;
-    const std::string key = simulationKey(cfg);
-    RunResult result;
-    // An observed run must actually execute: a cache hit would skip
-    // the simulation its stats/trace documents are meant to describe.
-    // Storing the result back is still sound — the cached payload
-    // excludes everything ObsConfig adds.
-    if (!cfg.obs.active() && cache_.lookup(key, &result)) {
-        if (from_cache)
-            *from_cache = true;
-        // The entry may have been simulated for another tech node,
-        // gating flag or baseline clock plan: reduce it for this one.
-        return reduceFor(cfg, result);
-    }
-    // With a store, every cell's warmup is checkpointed; restoring is
-    // bit-identical to simulating, so the cache key ignores it.
-    result = runSim(cfg, checkpointer_.get());
-    // Entries hold the simulation's own reduction, so the cache file
-    // depends only on its keys, not on which point ran first.
-    cache_.store(key, reduceFor(simulationConfig(cfg), result));
-    if (from_cache)
-        *from_cache = false;
-    return result;
-}
-
 SweepTable
 SweepRunner::run(const std::vector<SweepPoint> &points)
 {
@@ -279,24 +249,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
 
     std::vector<SweepRecord> records(points.size());
 
-    // Points that share a simulation run it once: the first of them
-    // in grid order simulates (or hits the cache), and the others are
-    // reduced from its window deltas after the pool finishes.
-    // Observed points always simulate, as in runOne().
-    std::vector<std::size_t> source(points.size());
-    std::vector<std::size_t> simulated;
-    std::unordered_map<std::string, std::size_t> first_of;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        records[i].point = points[i];
-        source[i] = i;
-        if (!points[i].config.obs.active() && !options_.obs.active())
-            source[i] =
-                first_of.emplace(simulationKey(points[i].config), i)
-                    .first->second;
-        if (source[i] == i)
-            simulated.push_back(i);
-    }
-
     std::mutex progress_mutex; // serializes the progress callback
     std::size_t done = 0;
     const auto report = [&](std::size_t i) {
@@ -307,31 +259,66 @@ SweepRunner::run(const std::vector<SweepPoint> &points)
         options_.progress(done, points.size(), records[i].point,
                           records[i].result, records[i].fromCache);
     };
-
-    pool_.parallelFor(simulated.size(), [&](std::size_t n) {
-        SweepRecord &rec = records[simulated[n]];
-        const auto cell_start = Clock::now();
-        rec.result = runOne(rec.point.config, &rec.fromCache);
-        rec.wallSeconds =
-            std::chrono::duration<double>(Clock::now() - cell_start)
-                .count();
-        report(simulated[n]);
-    });
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (source[i] == i)
-            continue;
+    const auto reduceFrom = [&](std::size_t i, const RunResult &measured) {
         SweepRecord &rec = records[i];
         const auto cell_start = Clock::now();
-        rec.result = reduceFor(rec.point.config, records[source[i]].result);
+        rec.result = reduceFor(rec.point.config, measured);
         rec.fromCache = true;
         rec.wallSeconds =
             std::chrono::duration<double>(Clock::now() - cell_start)
                 .count();
         report(i);
+    };
+
+    // Sort every point on this thread: one whose run is in the memo is
+    // reduced from it now, one whose run an earlier point of this grid
+    // simulates is reduced from that point after the pool finishes,
+    // and the rest simulate on the pool.  Observed points always
+    // simulate: reusing a run would skip the simulation their
+    // stats/trace documents describe.
+    std::vector<std::string> keys(points.size());
+    std::vector<std::size_t> source(points.size());
+    std::vector<std::size_t> simulated;
+    std::unordered_map<std::string, std::size_t> first_of;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        records[i].point = points[i];
+        keys[i] = simulationKey(points[i].config);
+        source[i] = i;
+        if (!points[i].config.obs.active() && !options_.obs.active()) {
+            if (auto hit = memo_.find(keys[i]); hit != memo_.end()) {
+                reduceFrom(i, hit->second);
+                continue;
+            }
+            source[i] = first_of.emplace(keys[i], i).first->second;
+        }
+        if (source[i] == i)
+            simulated.push_back(i);
     }
 
-    if (!options_.cachePath.empty())
-        cache_.save();
+    pool_.parallelFor(simulated.size(), [&](std::size_t n) {
+        SweepRecord &rec = records[simulated[n]];
+        const auto cell_start = Clock::now();
+        RunConfig cfg = rec.point.config;
+        if (!cfg.obs.active())
+            cfg.obs = options_.obs;
+        // With a store, every cell's warmup is checkpointed; restoring
+        // is bit-identical to simulating, so the memo ignores it.
+        rec.result = runSim(cfg, checkpointer_.get());
+        rec.wallSeconds =
+            std::chrono::duration<double>(Clock::now() - cell_start)
+                .count();
+        report(simulated[n]);
+    });
+    for (std::size_t i : simulated) {
+        // A memo hit reads only the window deltas and telemetry; the
+        // stats document stays with the row that asked for it.
+        RunResult entry = records[i].result;
+        entry.statsDoc.reset();
+        memo_.emplace(keys[i], std::move(entry));
+    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+        if (source[i] != i)
+            reduceFrom(i, records[source[i]].result);
 
     SweepTable table;
     for (auto &rec : records) {

@@ -11,11 +11,10 @@
  *    because runSim() shares no mutable state between runs (workload
  *    RNG and statistics are per-core instances; see the audit notes
  *    in README.md);
- *  - each distinct simulation runs once: points are memoized in a
- *    ResultCache keyed by simulationKey(), and points of one grid
- *    that share that key (tech nodes, gating, baseline clock plans)
- *    are reduced from one run, so repeating or extending a sweep only
- *    simulates new runs;
+ *  - each distinct simulation runs once per runner: points that share
+ *    a simulationKey() (tech nodes, gating, baseline clock plans) are
+ *    reduced from one run, and the runner keeps every run in memory,
+ *    so a later grid on the same runner only simulates new runs;
  *  - structured export: a finished sweep serializes to JSON and CSV
  *    with byte-stable output.
  */
@@ -28,11 +27,12 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "core/config_key.hh"
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/thread_pool.hh"
 
 namespace flywheel {
@@ -54,8 +54,8 @@ struct SweepPoint
     /**
      * Free-form row tag (grid-block name).  Presentation metadata
      * only: it distinguishes points that share (bench, kind, clock)
-     * but came from different spec blocks; it is not part of the
-     * result-cache key.
+     * but came from different spec blocks; it is not part of
+     * configKey().
      */
     std::string label;
 };
@@ -99,18 +99,22 @@ struct SweepRecord
 {
     SweepPoint point;
     RunResult result;
-    /** Reduced from a cached or shared run instead of simulated. */
+    /**
+     * Reduced from a simulation this runner already ran, in this grid
+     * or an earlier one, instead of simulated.
+     */
     bool fromCache = false;
     /**
-     * Host wall-clock spent producing this cell (near zero on a cache
-     * hit).  Telemetry only: never serialized by writeJson/writeCsv,
-     * which must stay byte-identical for any worker count.
+     * Host wall-clock spent producing this cell (near zero when
+     * fromCache).  Telemetry only: never serialized by
+     * writeJson/writeCsv, which must stay byte-identical for any
+     * worker count.
      */
     double wallSeconds = 0.0;
 };
 
 /**
- * Host-side telemetry for one sweep: wall-clock, cache effectiveness,
+ * Host-side telemetry for one sweep: wall-clock, simulation reuse,
  * checkpoint-store traffic and worker-pool utilization.  Everything a
  * progress bar or a bench report wants to say about *how* the grid
  * ran; none of it enters writeJson/writeCsv, whose bytes describe only
@@ -120,6 +124,7 @@ struct SweepTelemetry
 {
     double wallSeconds = 0.0;       ///< whole-grid elapsed time
     std::size_t cells = 0;
+    /** Cells with SweepRecord::fromCache set. */
     std::size_t cacheHits = 0;
     unsigned jobs = 0;
     std::uint64_t poolTasks = 0;
@@ -177,8 +182,6 @@ struct SweepOptions
 {
     /** Worker threads; 0 = FLYWHEEL_JOBS env or hardware concurrency. */
     unsigned jobs = 0;
-    /** Persist the result cache at this path (empty = memory only). */
-    std::string cachePath;
     /**
      * Warm checkpoint store shared by every grid cell: "" disables
      * checkpointing entirely (historical behaviour), a directory
@@ -203,17 +206,19 @@ struct SweepOptions
         progress;
     /**
      * Observability attachments stamped onto every cell that does not
-     * bring its own (see ObsConfig).  Observed cells bypass the
-     * result-cache lookup: a cache hit would skip the simulation the
-     * stats/trace documents are supposed to describe.
+     * bring its own (see ObsConfig).  Observed cells always simulate:
+     * reusing a run would skip the simulation the stats/trace
+     * documents are supposed to describe.
      */
     ObsConfig obs;
 };
 
 /**
- * Thread-pooled experiment runner.  The pool and cache persist across
- * run() calls, so one runner can serve several grids in a session and
- * later grids reuse earlier points.
+ * Thread-pooled experiment runner.  The pool and the memo of finished
+ * simulations persist across run() calls, so one runner can serve
+ * several grids in a session and later grids reuse earlier runs.  The
+ * memo lives in memory only: nothing it holds outlives the process,
+ * so no result survives a change to the simulator.
  */
 class SweepRunner
 {
@@ -224,26 +229,18 @@ class SweepRunner
     ~SweepRunner();
 
     /**
-     * Run every point; results in submission order.  Unobserved
-     * points with one simulationKey() simulate once: the first in
-     * grid order runs, the others are reduced from its result and
-     * reported as cache hits.
+     * Run every point; results in submission order.  Each distinct
+     * simulationKey() simulates at most once per runner: a point whose
+     * run is in the memo, or shares its run with an earlier point of
+     * this grid, is reduced from that run and reported fromCache.
+     * Observed points always simulate.  One run() at a time: the memo
+     * is read and written only on the calling thread.
      */
     SweepTable run(const std::vector<SweepPoint> &points);
 
     /** Axes convenience overload. */
     SweepTable run(const SweepAxes &axes) { return run(axes.expand()); }
 
-    /**
-     * Run one config — the single place that knows how a grid cell
-     * runs: observability stamping, result-cache lookup (skipped for
-     * observed runs) with the hit reduced for @p config, runSim()
-     * over the runner's checkpoint store, and the store-back.  run()
-     * routes every thread-pool task through this.
-     */
-    RunResult runOne(const RunConfig &config, bool *from_cache = nullptr);
-
-    ResultCache &cache() { return cache_; }
     /** Shared warm checkpoint store (null when disabled). */
     Checkpointer *checkpointer() { return checkpointer_.get(); }
     ThreadPool &pool() { return pool_; }
@@ -251,7 +248,8 @@ class SweepRunner
 
   private:
     SweepOptions options_;
-    ResultCache cache_;
+    /** Every simulation this runner ran, by simulationKey(). */
+    std::unordered_map<std::string, RunResult> memo_;
     std::unique_ptr<Checkpointer> checkpointer_;
     ThreadPool pool_;
 };

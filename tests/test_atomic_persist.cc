@@ -5,7 +5,7 @@
  * torn file.  The first test demonstrates the failure mode of the
  * old scheme — a fixed ".tmp" temp name shared by every writer — and
  * the rest pin the unique-temp + rename() behavior of
- * common/atomic_file.hh and its users (ResultCache, Snapshot).
+ * common/atomic_file.hh and its user, Snapshot::writeFile.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "common/atomic_file.hh"
 #include "snapshot/bincodec.hh"
 #include "snapshot/snapshot.hh"
-#include "sweep/result_cache.hh"
 
 namespace {
 
@@ -59,8 +58,8 @@ readAll(const std::string &path)
 
 // The bug the helper exists to fix: with a fixed temp name, two
 // writers interleaving open/write/rename produce a hybrid of both
-// payloads.  This test documents the torn result the OLD
-// ResultCache::save() scheme (path + ".tmp" for everyone) allowed.
+// payloads.  This test documents the torn result that scheme (path +
+// ".tmp" for everyone) allowed.
 TEST(AtomicPersist, FixedTempNameTearsUnderInterleaving)
 {
     TempDir td;
@@ -130,34 +129,6 @@ TEST(AtomicPersist, AtomicWriteFileReportsUnwritablePath)
     EXPECT_FALSE(atomicWriteFile("/nonexistent-dir/x/y", "data",
                                  &error));
     EXPECT_FALSE(error.empty());
-}
-
-// End-to-end: two ResultCache instances sharing one path (as two
-// sweep processes would) saving concurrently must always leave a
-// loadable file containing one saver's complete entry set.
-TEST(AtomicPersist, ConcurrentResultCacheSavesStayLoadable)
-{
-    TempDir td;
-    const std::string path = td.file("results.json");
-
-    flywheel::ResultCache a(path);
-    flywheel::ResultCache b(path);
-    flywheel::RunResult r{};
-    for (int i = 0; i < 16; ++i) {
-        a.store("a-key-" + std::to_string(i), r);
-        b.store("b-key-" + std::to_string(i), r);
-    }
-
-    for (int round = 0; round < 20; ++round) {
-        std::thread ta([&] { EXPECT_TRUE(a.save()); });
-        std::thread tb([&] { EXPECT_TRUE(b.save()); });
-        ta.join();
-        tb.join();
-        flywheel::ResultCache loaded(path);
-        EXPECT_EQ(loaded.size(), 16u)
-            << "round " << round
-            << ": reloaded cache is not one saver's entry set";
-    }
 }
 
 // Snapshot::writeFile goes through the same helper; a quick

@@ -20,11 +20,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/config_key.hh"
 #include "core/report.hh"
 #include "core/sim_driver.hh"
 #include "snapshot/checkpointer.hh"
 #include "snapshot/snapshot.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"

@@ -1,21 +1,19 @@
 /**
  * @file
  * Tests for the parallel sweep engine: thread-pool behaviour,
- * determinism across worker counts, result-cache hits (in-memory and
- * on-disk), JSON round-trip of RunResult, and export stability.
+ * determinism across worker counts, reuse of finished simulations
+ * within one runner, and export stability.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "common/json.hh"
+#include "core/config_key.hh"
 #include "core/report.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep.hh"
 #include "sweep/thread_pool.hh"
 
@@ -267,10 +265,13 @@ TEST(SweepRunner, EachDistinctSimulationRunsOnce)
         ASSERT_EQ(table.size(), points.size());
         EXPECT_EQ(table.telemetry().cacheHits, points.size() - distinct)
             << "jobs " << jobs;
-        EXPECT_EQ(runner.cache().size(), distinct);
         // The first point of each simulation in grid order runs.
-        for (std::size_t i : {0u, 4u, 8u})
-            EXPECT_FALSE(table.at(i).fromCache) << "point " << i;
+        for (std::size_t i = 0; i < table.size(); ++i)
+            EXPECT_EQ(table.at(i).fromCache, i != 0 && i != 4 && i != 8)
+                << "point " << i;
+        // The runner kept every simulation it ran.
+        EXPECT_EQ(runner.run(points).telemetry().cacheHits, points.size())
+            << "jobs " << jobs;
         if (jobs == 1) {
             for (std::size_t i = 0; i < table.size(); ++i)
                 EXPECT_EQ(toJson(table.at(i).result).dump(),
@@ -298,33 +299,21 @@ TEST(SweepRunner, CacheHitIsReducedForTheRequestingNode)
     at130.measureInstrs = 5000;
     RunConfig at60 = at130;
     at60.node = TechNode::N60;
-    const std::string want = toJson(runSim(at60)).dump();
-    const std::string path = "test_sweep_node_cache.json";
-    std::remove(path.c_str());
+    SweepPoint point;
+    point.config = at130;
 
-    {
-        SweepOptions opts;
-        opts.jobs = 1;
-        opts.cachePath = path;
-        SweepRunner runner(opts);
-        bool hit = true;
-        const RunResult filled = runner.runOne(at130, &hit);
-        EXPECT_FALSE(hit);
-        const RunResult read = runner.runOne(at60, &hit);
-        EXPECT_TRUE(hit);
-        EXPECT_EQ(toJson(read).dump(), want);
-        EXPECT_NE(read.energy.totalPj(), filled.energy.totalPj());
-        ASSERT_TRUE(runner.cache().save());
-    }
-    // The same through the cache file.
     SweepOptions opts;
     opts.jobs = 1;
-    opts.cachePath = path;
     SweepRunner runner(opts);
-    bool hit = false;
-    EXPECT_EQ(toJson(runner.runOne(at60, &hit)).dump(), want);
-    EXPECT_TRUE(hit);
-    std::remove(path.c_str());
+    const SweepTable filled = runner.run({point});
+    EXPECT_FALSE(filled.at(0).fromCache);
+    // A later grid asks for the same simulation at another node.
+    point.config = at60;
+    const SweepTable read = runner.run({point});
+    EXPECT_TRUE(read.at(0).fromCache);
+    EXPECT_EQ(toJson(read.at(0).result).dump(), toJson(runSim(at60)).dump());
+    EXPECT_NE(read.at(0).result.energy.totalPj(),
+              filled.at(0).result.energy.totalPj());
 }
 
 TEST(SweepRunner, ObservedGridSimulatesEveryRow)
@@ -386,45 +375,16 @@ TEST(SweepRunner, CacheHitsOnRerun)
     SweepTable first = runner.run(points);
     for (const auto &row : first.rows())
         EXPECT_FALSE(row.fromCache);
-    EXPECT_EQ(runner.cache().size(), points.size());
+    EXPECT_EQ(first.telemetry().cacheHits, 0u);
 
     SweepTable second = runner.run(points);
     for (const auto &row : second.rows())
         EXPECT_TRUE(row.fromCache);
+    EXPECT_EQ(second.telemetry().cacheHits, points.size());
+    EXPECT_EQ(second.telemetry().poolTasks, 0u);
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(toJson(first.at(i).result).dump(),
                   toJson(second.at(i).result).dump());
-}
-
-TEST(SweepRunner, DiskCachePersistsAcrossRunners)
-{
-    std::vector<SweepPoint> points = smallGrid();
-    const std::string path = "test_sweep_cache.json";
-    std::remove(path.c_str());
-
-    std::string first_json;
-    {
-        SweepOptions opts;
-        opts.jobs = 2;
-        opts.cachePath = path;
-        SweepRunner runner(opts);
-        std::ostringstream os;
-        runner.run(points).writeJson(os);
-        first_json = os.str();
-    }
-    {
-        SweepOptions opts;
-        opts.jobs = 2;
-        opts.cachePath = path;
-        SweepRunner runner(opts); // fresh process stand-in
-        SweepTable table = runner.run(points);
-        for (const auto &row : table.rows())
-            EXPECT_TRUE(row.fromCache);
-        std::ostringstream os;
-        table.writeJson(os);
-        EXPECT_EQ(os.str(), first_json);
-    }
-    std::remove(path.c_str());
 }
 
 TEST(SweepRunner, ProgressCallbackFiresOncePerPoint)
@@ -465,37 +425,6 @@ TEST(SweepAxes, ExpandIsCartesianAndOrdered)
     EXPECT_EQ(points[0].config.node, TechNode::N130);
     EXPECT_EQ(points[1].config.node, TechNode::N60);
     EXPECT_EQ(points[2].clock.feBoost, 0.5);
-}
-
-TEST(Serialization, RunResultJsonRoundTrip)
-{
-    SweepPoint pt = makePoint("vpr", CoreKind::Flywheel, {0.25, 0.5});
-    pt.config.warmupInstrs = 2000;
-    pt.config.measureInstrs = 5000;
-    RunResult r = runSim(pt.config);
-
-    Json parsed;
-    std::string error;
-    ASSERT_TRUE(Json::parse(toJson(r).dump(2), parsed, &error)) << error;
-    RunResult back = runResultFromJson(parsed);
-
-    EXPECT_EQ(r.instructions, back.instructions);
-    EXPECT_EQ(r.timePs, back.timePs);
-    EXPECT_DOUBLE_EQ(r.ipc, back.ipc);
-    EXPECT_DOUBLE_EQ(r.ecResidency, back.ecResidency);
-    EXPECT_DOUBLE_EQ(r.mispredictRate, back.mispredictRate);
-    EXPECT_DOUBLE_EQ(r.averageWatts, back.averageWatts);
-    EXPECT_EQ(r.stats.retired, back.stats.retired);
-    EXPECT_EQ(r.stats.mispredicts, back.stats.mispredicts);
-    EXPECT_EQ(r.stats.ecRetired, back.stats.ecRetired);
-    EXPECT_EQ(r.events.totalTicks, back.events.totalTicks);
-    EXPECT_EQ(r.events.icacheAccesses, back.events.icacheAccesses);
-    EXPECT_DOUBLE_EQ(r.energy.totalPj(), back.energy.totalPj());
-    EXPECT_DOUBLE_EQ(r.energy.frontEndPj, back.energy.frontEndPj);
-    EXPECT_DOUBLE_EQ(r.energy.leakagePj, back.energy.leakagePj);
-
-    // Serialize -> parse -> serialize is byte-stable.
-    EXPECT_EQ(toJson(r).dump(2), toJson(back).dump(2));
 }
 
 TEST(Serialization, CsvHasOneLinePerPointPlusHeader)
@@ -623,145 +552,6 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(Json::parse("{\"a\" 1}", out));
     EXPECT_FALSE(Json::parse("nope", out));
     EXPECT_FALSE(Json::parse("1 2", out));
-}
-
-class ResultCacheDiskCorruption : public ::testing::Test
-{
-  protected:
-    void SetUp() override { std::remove(kPath); }
-    void TearDown() override { std::remove(kPath); }
-
-    void
-    writeFile(const std::string &contents)
-    {
-        std::ofstream out(kPath);
-        out << contents;
-    }
-
-    /** The cache must start cold but stay fully usable. */
-    void
-    expectColdButUsable()
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.size(), 0u);
-        RunResult r;
-        r.instructions = 7;
-        cache.store("k", r);
-        EXPECT_TRUE(cache.save());
-        ResultCache reloaded(kPath);
-        EXPECT_EQ(reloaded.size(), 1u);
-    }
-
-    static constexpr const char *kPath = "test_cache_corrupt.json";
-};
-
-TEST_F(ResultCacheDiskCorruption, TruncatedJsonStartsCold)
-{
-    // A file cut off mid-document (e.g. by a full disk or kill -9
-    // from a tool that did not write atomically).
-    writeFile("{\"version\": 1, \"entries\": {\"k\": {\"instr");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, BinaryGarbageStartsCold)
-{
-    writeFile(std::string("\x00\xff\xfe{]garbage\x7f", 12));
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, WrongShapeStartsCold)
-{
-    // Parseable JSON that is not a cache document.
-    writeFile("[1, 2, 3]");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, WrongVersionStartsCold)
-{
-    writeFile("{\"version\": 999, \"entries\": {}}");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, NonObjectEntriesStartsCold)
-{
-    writeFile("{\"version\": 1, \"entries\": [1, 2]}");
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, NestingBombStartsCold)
-{
-    // Hostile nesting must not crash the parser (depth cap).
-    std::string bomb(50000, '[');
-    writeFile(bomb);
-    expectColdButUsable();
-}
-
-TEST_F(ResultCacheDiskCorruption, IncompleteEntriesAreDropped)
-{
-    writeFile("{\"version\": 1, \"entries\": "
-              "{\"partial\": {\"instructions\": 5}}}");
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 0u);
-    RunResult out;
-    EXPECT_FALSE(cache.lookup("partial", &out));
-}
-
-TEST_F(ResultCacheDiskCorruption, ParseFailureRetriesExactlyOnce)
-{
-    // On a rename-lagging filesystem (NFS and friends) a reader can
-    // glimpse a torn document even though every writer publishes via
-    // temp + rename; the load retries once.  A persistently garbage
-    // file still starts cold, with the retry visible in the counter.
-    writeFile("{\"version\": 2, \"entries\": {\"k\": {\"instr");
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.loadRetries(), 1u);
-}
-
-TEST_F(ResultCacheDiskCorruption, DeterministicMismatchNeverRetries)
-{
-    // Version and shape mismatches re-read identically, so only a
-    // parse failure earns the second attempt.
-    writeFile("{\"version\": 999, \"entries\": {}}");
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.loadRetries(), 0u);
-    }
-    writeFile("[1, 2, 3]");
-    {
-        ResultCache cache(kPath);
-        EXPECT_EQ(cache.loadRetries(), 0u);
-    }
-}
-
-TEST_F(ResultCacheDiskCorruption, CleanAndMissingLoadsNeverRetry)
-{
-    {
-        ResultCache cache(kPath);  // no file yet
-        EXPECT_EQ(cache.loadRetries(), 0u);
-        RunResult r;
-        r.instructions = 7;
-        cache.store("k", r);
-        EXPECT_TRUE(cache.save());
-    }
-    ResultCache cache(kPath);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.loadRetries(), 0u);
-}
-
-TEST(ResultCache, LookupMissThenHit)
-{
-    ResultCache cache;
-    RunResult r;
-    r.instructions = 123;
-    r.timePs = 456;
-
-    EXPECT_FALSE(cache.lookup("k", nullptr));
-    cache.store("k", r);
-    RunResult out;
-    ASSERT_TRUE(cache.lookup("k", &out));
-    EXPECT_EQ(out.instructions, 123u);
-    EXPECT_EQ(out.timePs, 456u);
 }
 
 } // namespace

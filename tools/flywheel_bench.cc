@@ -7,7 +7,7 @@
  *
  *   flywheel_bench --list
  *   flywheel_bench --figure fig12                # one figure
- *   flywheel_bench --figure fig12 --figure fig13 # shared grid cached
+ *   flywheel_bench --figure fig12 --figure fig13 # shared grid run once
  *   flywheel_bench --all
  *   flywheel_bench --spec specs/fig12.json       # data, not code
  *   flywheel_bench --dump-spec fig12             # registry -> JSON
@@ -57,8 +57,6 @@ usage(const char *argv0)
         "run control:\n"
         "  --jobs N             worker threads (default: FLYWHEEL_JOBS "
         "or all cores)\n"
-        "  --cache FILE         persistent result cache (default: "
-        "FLYWHEEL_CACHE)\n"
         "  --progress           per-point progress on stderr\n"
         "\n"
         "%s"
@@ -192,7 +190,7 @@ main(int argc, char **argv)
     cli::SnapshotFlags snapshot;
     cli::ObsFlags obs_flags;
 
-    SessionOptions opts = SessionOptions::fromEnv();
+    SessionOptions opts;
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -216,8 +214,6 @@ main(int argc, char **argv)
             validate_paths.push_back(value());
         } else if (flag == "--jobs") {
             opts.jobs = cli::parseJobs(value(), "--jobs");
-        } else if (flag == "--cache") {
-            opts.cachePath = value();
         } else if (flag == "--progress") {
             progress = true;
         } else if (flag == "--json") {
